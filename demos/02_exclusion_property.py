@@ -21,15 +21,16 @@ print("witness roles:", res.witness.as_dict())
 
 # lattice view: a violating relation has a pair joined by two distinct
 # cover paths
-lat = check_c3ep_lattice(C3)
-print("lattice evidence (pair, path count):", lat.evidence)
 shape = build_concept_lattice(C3)
+lat = check_c3ep_lattice(shape)
+print("lattice evidence (pair, path count):", lat.evidence)
 print("paths a2 -> b2:", count_paths(shape, "a2", "b2"))
 
 # the worked fans example satisfies the property
 G = overlapping_fans_relation()
 print("\nfans satisfied:", check_c3ep(G).satisfied)
-print("fans lattice route agrees:", check_c3ep_lattice(G).satisfied)
+print("fans lattice route agrees:",
+      check_c3ep_lattice(build_concept_lattice(G)).satisfied)
 
 # one extra pair repairs C3: adding a corner destroys the forbidden
 # restriction

@@ -31,7 +31,6 @@ SVD_RANK_REL = 1e-9
 COMM_REL_TOL = 1e-9
 CLUSTER_REL = 1e-7
 RESIDUAL_TOL = 1e-8
-ISO_TOL = 1e-9
 # Dense commutant solves build a D^2 x D^2 normal matrix.
 COMMUTANT_DIM_CAP = 32
 
@@ -251,11 +250,11 @@ def centre(S: MatrixSubalgebra) -> MatrixSubalgebra:
     # m has >= k rows, so the reduced vh still spans all k coefficient
     # directions; full_matrices would allocate on the row count
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size and s[0] > 0:
-        cut = SVD_RANK_REL * s[0] * np.sqrt(max(m.shape))
-        rank = int(np.sum(s > cut))
-    else:
-        rank = 0
+    # the floor at the test elements' scale keeps rounding-noise
+    # commutators (a conjugated scalar algebra) from counting as rank
+    floor = SVD_RANK_REL * max(np.linalg.norm(g) for g in test)
+    cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
+    rank = int(np.sum(s > cut))
     coeffs = vh[rank:].conj()
     mats = np.tensordot(coeffs, S.basis, axes=(1, 0))
     return MatrixSubalgebra(S.ambient, orthonormalize(mats))
@@ -363,7 +362,8 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
     p_i s p_1 for a generic s in B give connecting partial isometries;
     rows of V are the vectors u_i f_mu over an orthonormal basis f of
     the first projector's range.  Verified by conjugating bases both
-    ways.
+    ways, which also proves B is a factor; a non-factor raises
+    NumericsError.
     """
     ambient = B.ambient
     D = ambient.total_dim
@@ -375,8 +375,6 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
         raise NumericsError(f"dim {d} factor cannot sit in ambient {D}")
     m = D // d
     codomain = TensorSpace(((labels[0], d), (labels[1], m)))
-    if not is_factor(B):
-        raise NumericsError("factorize_factor needs a factor")
     if d == 1:
         return UnitaryIso(np.eye(D), ambient, codomain), 1, D
     rng = np.random.default_rng(seed)
@@ -527,47 +525,6 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
     return iso, dims
 
 
-def tensor_split_over_known_factor(X: MatrixSubalgebra, known_labels=None):
-    """Given X containing the full algebra of some legs, find Y with
-    X = L(known) tensor Y.
-
-    The commutant of X inside the full matrix algebra lies in
-    1 tensor L(rest) because X contains L(known) tensor 1; its form is
-    1 tensor Z where Z is the commutant of the Schmidt factors of X on
-    the remaining legs, and Y is then the commutant of Z there.  Raises
-    when X does not factor through the given legs.
-    """
-    ambient = X.ambient
-    if known_labels is None:
-        known_labels = [ambient.labels[0]]
-    known_labels = list(known_labels)
-    rest = [l for l in ambient.labels if l not in set(known_labels)]
-    if not rest:
-        raise InputError("no remaining legs to split onto")
-    d_known = 1
-    for l in known_labels:
-        d_known *= ambient.dim(l)
-    for e in matrix_units(d_known):
-        if not X.contains(ambient.embed(e, known_labels), RESIDUAL_TOL * 10):
-            raise InputError(
-                "X does not contain the full algebra of the known legs")
-    rest_space = ambient.subspace(rest)
-    ys = []
-    for mat in X.basis:
-        ys.extend(ambient.schmidt_right_factors(mat, known_labels))
-    z = commutant_of(ys, rest_space)
-    y = commutant(z)
-    d_rest = rest_space.total_dim
-    if X.dim != d_known * d_known * y.dim:
-        raise NumericsError(
-            f"X (dim {X.dim}) does not split as L(known) x Y "
-            f"(dim {d_known * d_known} x {y.dim})")
-    for mat in y.basis:
-        if not X.contains(ambient.embed(mat, rest), RESIDUAL_TOL * 10):
-            raise NumericsError("computed Y is not inside X")
-    return y
-
-
 def reduce_onto_legs(B: MatrixSubalgebra, target_labels) -> MatrixSubalgebra:
     """Smallest algebra C on the target legs with B inside L(rest) x C.
 
@@ -692,15 +649,20 @@ def sectorize(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
     ambient, a_labels = _validate_leg_layout(a_labels, x_legs, bs)
     _check_pairwise_commuting(bs)
     _check_support(ambient, a_labels, x_legs, bs)
-    a_space = ambient.subspace(a_labels)
+    return _sectors_of_reductions(
+        ambient.subspace(a_labels),
+        [reduce_onto_legs(b, a_labels) for b in bs], seed)
+
+
+def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
+    """The body of sectorize, given the reductions onto the shared legs
+    of algebras that already passed sectorize's hypothesis checks."""
     d_a = a_space.total_dim
-    reduced = [reduce_onto_legs(b, a_labels) for b in bs]
     _check_pairwise_commuting(reduced)
     rng = np.random.default_rng(seed)
     per_alg = [minimal_central_projectors(r, seed=int(rng.integers(0, 2**31)))
                for r in reduced]
 
-    sectors = []
     index_tuples = [()]
     for projs in per_alg:
         index_tuples = [t + (i,) for t in index_tuples
@@ -780,58 +742,11 @@ def algebraic_lemma(a_labels, x_legs, bs, seed=0):
     joint = algebra_closure(
         a_space, [m for r in reduced for m in r.basis])
     if joint.dim == d_a * d_a:
-        for k, r in enumerate(reduced):
-            if not is_factor(r):
-                raise NumericsError(
-                    f"reduction {k} is not a factor despite spanning")
         iso, dims = split_commuting_factors(reduced, a_space, seed=seed)
         return LemmaSplit(iso, tuple(dims))
-    sec = sectorize(a_labels, x_legs, bs, seed=seed)
+    sec = _sectors_of_reductions(a_space, reduced, seed)
     return SectorObstruction(
         sec,
         f"reductions span dimension {joint.dim} < {d_a * d_a}; "
         f"{sec.n_sectors} joint sector(s)")
 
-
-def unitary_from_isomorphism(images, rel_tol=ISO_TOL) -> np.ndarray:
-    """Recover w from a *-isomorphism given by images of matrix units.
-
-    ``images[i][j]`` is the image of E_ij; the isomorphism must be
-    implemented by conjugation (true for *-isomorphisms between full
-    matrix algebras of equal dimension).  w is fixed up to global phase
-    by making its first nonzero entry (row-major) real positive.
-    """
-    images = np.asarray(images, dtype=complex)
-    if images.ndim != 4 or images.shape[0] != images.shape[1] \
-            or images.shape[2] != images.shape[3]:
-        raise InputError(f"images must have shape (n, n, N, N), got "
-                         f"{images.shape}")
-    n, _, N, _ = images.shape
-    if n != N:
-        raise InputError(
-            f"a *-isomorphism onto a full matrix algebra needs matching "
-            f"dimensions, got {n} -> {N}")
-    p11 = images[0, 0]
-    vals, vecs = np.linalg.eigh((p11 + dagger(p11)) / 2.0)
-    if abs(vals[-1] - 1.0) > 1e-6 or (n > 1 and abs(vals[-2]) > 1e-6):
-        raise NumericsError("image of E_11 is not a rank-1 projector")
-    v0 = vecs[:, -1]
-    cols = [images[i, 0] @ v0 for i in range(n)]
-    w = np.stack(cols, axis=1)
-    w = _projected_unitary(w)
-    units = matrix_units(n)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            resid = np.linalg.norm(images[i, j] - w @ units[i * n + j]
-                                   @ dagger(w))
-            worst = max(worst, resid)
-    if worst > rel_tol * 10:
-        raise NumericsError(
-            f"images are not conjugation by a unitary (residual "
-            f"{worst:.2e})")
-    flat = w.reshape(-1)
-    mags = np.abs(flat)
-    idx = int(np.argmax(mags > 1e-8 * mags.max()))
-    phase = flat[idx] / abs(flat[idx])
-    return w * np.conj(phase)

@@ -52,9 +52,11 @@ class UnitaryChannel:
         if self.matrix.shape != (dout, din):
             raise InputError(f"matrix shape {self.matrix.shape}, expected "
                              f"({dout}, {din})")
+        if not np.all(np.isfinite(self.matrix)):
+            raise InputError("matrix has non-finite entries")
         resid = np.linalg.norm(dagger(self.matrix) @ self.matrix
                                - np.eye(din))
-        if resid > UNITARITY_TOL * np.sqrt(din) * 100:
+        if not (resid <= UNITARITY_TOL * np.sqrt(din) * 100):
             raise NumericsError(f"matrix is not unitary "
                                 f"(residual {resid:.2e})")
 
@@ -65,9 +67,6 @@ class UnitaryChannel:
     def heisenberg(self, out_op) -> np.ndarray:
         """U^dag (op) U: pull an output-frame operator back to inputs."""
         return dagger(self.matrix) @ np.asarray(out_op, complex) @ self.matrix
-
-    def schrodinger(self, in_op) -> np.ndarray:
-        return self.matrix @ np.asarray(in_op, complex) @ dagger(self.matrix)
 
     def tensor(self, other: "UnitaryChannel") -> "UnitaryChannel":
         for l in other.in_space.labels:
@@ -243,10 +242,17 @@ def pair_commutator_norm(U: UnitaryChannel, a: str, b: str) -> float:
     return float(np.sqrt(max(best, 0.0)))
 
 
-def _influence_scale(U: UnitaryChannel, da: int, db: int) -> float:
-    # |E (x) 1| on each side: sqrt(D/da) * sqrt(D/db).
+def _pair_decision(U: UnitaryChannel, a: str, b: str, rel_tol):
+    """(raw norm, threshold, influences, borderline) for one leg pair.
+
+    The threshold is rel_tol times |E (x) 1| on each side, sqrt(D/da) *
+    sqrt(D/db); a norm within a factor of ten of it is borderline.
+    """
+    raw = pair_commutator_norm(U, a, b)
     D = U.dim
-    return float(np.sqrt(D / da) * np.sqrt(D / db))
+    cut = rel_tol * float(np.sqrt(D / U.in_space.dim(a))
+                          * np.sqrt(D / U.out_space.dim(b)))
+    return raw, cut, not (raw <= cut), cut / 10 < raw < cut * 10
 
 
 def influences(U: UnitaryChannel, a: str, b: str,
@@ -256,25 +262,20 @@ def influences(U: UnitaryChannel, a: str, b: str,
         raise InputError(f"unknown input leg {a!r}")
     if b not in U.out_space.labels:
         raise InputError(f"unknown output leg {b!r}")
-    raw = pair_commutator_norm(U, a, b)
-    scale = _influence_scale(U, U.in_space.dim(a), U.out_space.dim(b))
-    cut = rel_tol * scale
-    if warn and cut / 10 < raw < cut * 10:
+    raw, cut, hit, borderline = _pair_decision(U, a, b, rel_tol)
+    if warn and borderline:
         warnings.warn(
             f"influence test for ({a}, {b}) is borderline: commutator "
             f"norm {raw:.3e} vs threshold {cut:.3e}",
             BorderlineToleranceWarning, stacklevel=2)
-    return raw > cut
+    return hit
 
 
 def causal_structure(U: UnitaryChannel,
                      rel_tol=INFLUENCE_REL_TOL) -> Relation:
     """The relation of influencing (input, output) pairs."""
-    pairs = set()
-    for a in U.in_space.labels:
-        for b in U.out_space.labels:
-            if influences(U, a, b, rel_tol, warn=False):
-                pairs.add((a, b))
+    pairs = {(a, b) for a in U.in_space.labels for b in U.out_space.labels
+             if _pair_decision(U, a, b, rel_tol)[2]}
     return Relation(U.in_space.labels, U.out_space.labels,
                     frozenset(pairs))
 
@@ -297,14 +298,12 @@ def causal_structure_report(U: UnitaryChannel,
     borderline = []
     for a in U.in_space.labels:
         for b in U.out_space.labels:
-            raw = pair_commutator_norm(U, a, b)
-            cut = rel_tol * _influence_scale(
-                U, U.in_space.dim(a), U.out_space.dim(b))
+            raw, cut, hit, border = _pair_decision(U, a, b, rel_tol)
             raw_norms[(a, b)] = raw
             thresholds[(a, b)] = cut
-            if cut / 10 < raw < cut * 10:
+            if border:
                 borderline.append((a, b))
-            if raw > cut:
+            if hit:
                 pairs.add((a, b))
     rel = Relation(U.in_space.labels, U.out_space.labels, frozenset(pairs))
     return CausalReport(rel, raw_norms, thresholds, borderline)
@@ -391,8 +390,7 @@ def atomicity_check(U: UnitaryChannel, rel_tol=INFLUENCE_REL_TOL) -> bool:
     if na + nb > 12:
         raise InputError(
             f"powerset check over {na}+{nb} legs is too large")
-    singles = {(a, b): influences(U, a, b, rel_tol, warn=False)
-               for a in U.in_space.labels for b in U.out_space.labels}
+    singles = causal_structure(U, rel_tol).pairs
     for mask_a in range(1, 1 << na):
         alphas = [U.in_space.labels[i] for i in range(na)
                   if mask_a >> i & 1]
@@ -400,7 +398,7 @@ def atomicity_check(U: UnitaryChannel, rel_tol=INFLUENCE_REL_TOL) -> bool:
             betas = [U.out_space.labels[j] for j in range(nb)
                      if mask_b >> j & 1]
             composite = composite_influences(U, alphas, betas, rel_tol)
-            pointwise = any(singles[(a, b)] for a in alphas for b in betas)
+            pointwise = any((a, b) in singles for a in alphas for b in betas)
             if composite != pointwise:
                 return False
     return True

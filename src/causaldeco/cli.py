@@ -42,13 +42,16 @@ def cmd_lattice(args) -> int:
 
 def cmd_check(args) -> int:
     G = load_relation(args.relation)
+    shape = build_concept_lattice(G)
+    # check_c3ep compares the scan with the intersection criterion and
+    # check_c3ep_lattice path multiplicity with cover disjointness; the
+    # relational and lattice verdicts are compared here
     res = check_c3ep(G)
-    lat = check_c3ep_lattice(G)
+    lat = check_c3ep_lattice(shape)
     if res.satisfied != lat.satisfied:
-        # check_c3ep_lattice already compares internally; belt and braces
         raise NumericsError("relational and lattice routes disagree")
     if res.satisfied:
-        triples = overlap_lemma_check(G)
+        triples = overlap_lemma_check(shape)
         if args.json:
             print(_dump({"satisfied": True, "witness": None,
                          "overlap_triples": triples}))

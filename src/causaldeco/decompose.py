@@ -99,6 +99,12 @@ def verify_decomposition(U: UnitaryChannel, circuit: Circuit,
     (the faithfulness flag).  Failures land in the report; nothing is
     raised for them.
     """
+    return _verify(U, circuit, G, tol, causal_structure(U))
+
+
+def _verify(U, circuit, G, tol, structure) -> DecompositionReport:
+    """verify_decomposition against an already computed causal structure
+    of U."""
     gates_ok = circuit.gates_unitary()
     conn = connectivity(circuit.shape)
     labels_match = (set(U.in_space.labels) == set(circuit.shape.inputs)
@@ -117,7 +123,7 @@ def verify_decomposition(U: UnitaryChannel, circuit: Circuit,
     connectivity_ok = (set(G.inputs) == set(conn.inputs)
                        and set(G.outputs) == set(conn.outputs)
                        and conn.pairs <= G.pairs)
-    faithful = labels_match and conn.pairs == causal_structure(U).pairs
+    faithful = labels_match and conn.pairs == structure.pairs
     ok = (gates_ok and connectivity_ok
           and residual <= tol * np.sqrt(U.dim))
     return DecompositionReport(
@@ -320,7 +326,7 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
         gates[m] = space.embed(wb, ["B:" + b]) @ gates[m]
     gates = {v: fix_gate_phase(g) for v, g in gates.items()}
     circuit = Circuit(shape, wire_dims, in_dims, out_dims, gates)
-    report = verify_decomposition(U, circuit, G, tol=tol)
+    report = _verify(U, circuit, G, tol, structure)
     report.per_node_diagnostics = tuple(diags)
     return circuit, report
 

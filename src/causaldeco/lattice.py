@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .relations import (Relation, check_c3ep, common_children, common_parents,
-                        closure_inputs, parents)
+from .errors import InputError, NumericsError
+from .relations import Relation, common_children, closure_inputs, parents
 
 # Enumerating closed sets walks pairwise intersections; fine up to about
 # ten labels per side, guarded here.
@@ -61,7 +60,6 @@ class ConceptLattice:
         self.lam = dict(lam)
         self.mu = dict(mu)
         self._index = {n.alpha: i for i, n in enumerate(self.nodes)}
-        self._beta_index = {n.beta: i for i, n in enumerate(self.nodes)}
         self._leq = self._compute_leq()
         self._validate()
 
@@ -107,12 +105,6 @@ class ConceptLattice:
             raise InputError(f"no node with alpha {key}")
         return self._index[key]
 
-    def index_of_beta(self, beta) -> int:
-        key = tuple(sorted(beta))
-        if key not in self._beta_index:
-            raise InputError(f"no node with beta {key}")
-        return self._beta_index[key]
-
     def bottom(self) -> int:
         mins = [i for i in range(len(self.nodes))
                 if all(self._leq[i, j] for j in range(len(self.nodes)))]
@@ -155,10 +147,6 @@ class ConceptLattice:
                     raise InputError("cover DAG is not acyclic")
             seen.add(i)
         return order
-
-
-# Circuit shapes and concept lattices share one representation here.
-CircuitShape = ConceptLattice
 
 
 # -- construction --------------------------------------------------------
@@ -219,26 +207,6 @@ def build_concept_lattice(G: Relation) -> ConceptLattice:
     return ConceptLattice(G.inputs, G.outputs, nodes, covers, lam, mu)
 
 
-# -- lattice operations --------------------------------------------------
-
-def meet(lattice: ConceptLattice, indices) -> int:
-    """Greatest lower bound of a set of nodes (top for the empty set)."""
-    indices = list(indices)
-    alpha = set(lattice.inputs)
-    for i in indices:
-        alpha &= set(lattice.nodes[i].alpha)
-    return lattice.index_of_alpha(alpha)
-
-
-def join(lattice: ConceptLattice, indices) -> int:
-    """Least upper bound of a set of nodes (bottom for the empty set)."""
-    indices = list(indices)
-    beta = set(lattice.outputs)
-    for i in indices:
-        beta &= set(lattice.nodes[i].beta)
-    return lattice.index_of_beta(beta)
-
-
 def connectivity(shape: ConceptLattice) -> Relation:
     """The relation realized by the shape: a reaches b iff there is a
     cover chain from lambda(a) up to mu(b)."""
@@ -272,19 +240,33 @@ class LatticeC3Result:
     evidence: tuple[str, str, int] | None = None
 
 
-def check_c3ep_lattice(G: Relation) -> LatticeC3Result:
+def _covers_disjoint(shape: ConceptLattice) -> bool:
+    """Characterization (iv): at every node with nonempty alpha, distinct
+    upper covers have disjoint beta sets."""
+    for i, nd in enumerate(shape.nodes):
+        if not nd.alpha:
+            continue
+        ups = shape.up_covers(i)
+        for x in range(len(ups)):
+            for y in range(x + 1, len(ups)):
+                if set(shape.nodes[ups[x]].beta) \
+                        & set(shape.nodes[ups[y]].beta):
+                    return False
+    return True
+
+
+def check_c3ep_lattice(shape: ConceptLattice) -> LatticeC3Result:
     """Decide the C3 exclusion property through the lattice.
 
     Two lattice-side characterizations are evaluated: (iii) every related
     pair is joined by at most one cover path, and (iv) at every node with
-    nonempty alpha, distinct upper covers have disjoint beta sets.  Both
-    must agree with each other and with ``check_c3ep``; disagreement
-    raises, since the three are provably equivalent.
+    nonempty alpha, distinct upper covers have disjoint beta sets.  They
+    are provably equivalent, so disagreement raises NumericsError.
+    Comparing with the relational route is the caller's job.
     """
-    shape = build_concept_lattice(G)
     evidence = None
-    for a in sorted(G.inputs):
-        for b in sorted(G.outputs):
+    for a in sorted(shape.inputs):
+        for b in sorted(shape.outputs):
             k = count_paths(shape, a, b)
             if k > 1:
                 evidence = (a, b, k)
@@ -292,42 +274,31 @@ def check_c3ep_lattice(G: Relation) -> LatticeC3Result:
         if evidence:
             break
     multiplicity_ok = evidence is None
-
-    disjoint_ok = True
-    for i, nd in enumerate(shape.nodes):
-        if not nd.alpha:
-            continue
-        ups = shape.up_covers(i)
-        for x in range(len(ups)):
-            for y in range(x + 1, len(ups)):
-                bw = set(shape.nodes[ups[x]].beta)
-                bw2 = set(shape.nodes[ups[y]].beta)
-                if bw & bw2:
-                    disjoint_ok = False
-    relational = check_c3ep(G).satisfied
-    if not (multiplicity_ok == disjoint_ok == relational):
-        raise AssertionError(
+    disjoint_ok = _covers_disjoint(shape)
+    if multiplicity_ok != disjoint_ok:
+        raise NumericsError(
             "C3 exclusion characterizations disagree: "
             f"path-multiplicity={multiplicity_ok} "
-            f"cover-disjointness={disjoint_ok} relational={relational}")
+            f"cover-disjointness={disjoint_ok}")
     return LatticeC3Result(multiplicity_ok, evidence)
 
 
-def overlap_lemma_check(G: Relation) -> int:
+def overlap_lemma_check(shape: ConceptLattice) -> int:
     """Verify the parent-overlap identity at every branching node.
 
     For a relation with the C3 exclusion property, at any node v with
     nonempty alpha and any two distinct upper covers w, w', the unions of
     parent sets over beta_w and beta_w' intersect exactly in alpha_v.
-    Returns the number of (v, w, w') triples checked; raises on a
-    violation (which would contradict the exclusion property) and raises
-    InputError when the relation does not satisfy the property.
+    The parent set of output b is the alpha of mu(b).  Returns the number
+    of (v, w, w') triples checked; raises NumericsError on a violation
+    (which would contradict the exclusion property) and InputError when
+    the covers are not disjoint, i.e. the relation does not satisfy the
+    property.
     """
-    if not check_c3ep(G).satisfied:
+    if not _covers_disjoint(shape):
         raise InputError(
             "overlap lemma applies only to relations with the C3 "
             "exclusion property")
-    shape = build_concept_lattice(G)
     checked = 0
     for i, nd in enumerate(shape.nodes):
         if not nd.alpha:
@@ -335,16 +306,13 @@ def overlap_lemma_check(G: Relation) -> int:
         ups = shape.up_covers(i)
         for x in range(len(ups)):
             for y in range(x + 1, len(ups)):
-                pa_w = set()
-                for b in shape.nodes[ups[x]].beta:
-                    pa_w |= common_parents(G, {b})
-                pa_w2 = set()
-                for b in shape.nodes[ups[y]].beta:
-                    pa_w2 |= common_parents(G, {b})
-                if pa_w & pa_w2 != set(nd.alpha):
-                    raise AssertionError(
+                pa = [set().union(*(shape.nodes[shape.mu[b]].alpha
+                                    for b in shape.nodes[w].beta))
+                      for w in (ups[x], ups[y])]
+                if pa[0] & pa[1] != set(nd.alpha):
+                    raise NumericsError(
                         f"overlap identity fails at alpha={nd.alpha}: "
-                        f"{sorted(pa_w & pa_w2)} != {list(nd.alpha)}")
+                        f"{sorted(pa[0] & pa[1])} != {list(nd.alpha)}")
                 checked += 1
     return checked
 

@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, NumericsError
 
 
 @dataclass(frozen=True)
@@ -191,15 +191,15 @@ def check_c3ep(G: Relation) -> C3Result:
     """Decide the C3 exclusion property.
 
     Runs both the brute-force 3x3 restriction scan and the intersection
-    criterion and raises if they disagree (they are provably equivalent,
-    so disagreement is a bug).  On violation the witness is the first one
-    in lexicographic scan order.
+    criterion and raises NumericsError if they disagree (they are
+    provably equivalent, so disagreement is a bug).  On violation the
+    witness is the first one in lexicographic scan order.
     """
     witness = _scan_for_pattern(G)
     ok_scan = witness is None
     ok_criterion = _intersection_criterion_ok(G)
     if ok_scan != ok_criterion:
-        raise AssertionError(
+        raise NumericsError(
             "C3 exclusion routes disagree: "
             f"scan={ok_scan} intersection-criterion={ok_criterion} on "
             f"{relation_to_json(G)}")

@@ -158,27 +158,6 @@ class TensorSpace:
         _, residual = self.restrict(mat, labels, rel_tol)
         return residual <= rel_tol
 
-    def support_profile(self, mat, rel_tol=1e-8) -> tuple[str, ...]:
-        """Labels of legs the operator acts on nontrivially.
-
-        A leg is trivial when tracing it out and re-tensoring identity
-        reproduces the operator.
-        """
-        mat = _as_complex(mat)
-        nontrivial = []
-        for l in self.labels:
-            keep = [x for x in self.labels if x != l]
-            if not keep:
-                d = self.dim(l)
-                small = np.trace(mat) / d
-                resid = np.linalg.norm(mat - small * np.eye(d))
-                if resid > rel_tol * max(np.linalg.norm(mat), 1e-300):
-                    nontrivial.append(l)
-                continue
-            if not self.is_supported_on(mat, keep, rel_tol):
-                nontrivial.append(l)
-        return tuple(nontrivial)
-
     # -- operator Schmidt ------------------------------------------------
 
     def schmidt_right_factors(self, mat, left_labels, rel=1e-9):

@@ -90,8 +90,9 @@ def test_criterion_03_c3ep_three_way_agreement():
         ins = [f"a{i}" for i in range(1, n + 1)]
         outs = [f"b{i}" for i in range(1, n + 1)]
         for G in _all_relations(ins, outs):
-            rel = check_c3ep(G)          # scan vs intersection criterion
-            lat = check_c3ep_lattice(G)  # path count vs cover disjointness
+            rel = check_c3ep(G)  # scan vs intersection criterion
+            # path count vs cover disjointness
+            lat = check_c3ep_lattice(build_concept_lattice(G))
             assert rel.satisfied == lat.satisfied
     # 200 seeded random relations up to 5x5
     rng = np.random.default_rng(303)
@@ -103,7 +104,8 @@ def test_criterion_03_c3ep_three_way_agreement():
         pairs = frozenset((a, b) for a in ins for b in outs
                           if rng.random() < density)
         G = Relation(ins, outs, pairs)
-        assert check_c3ep(G).satisfied == check_c3ep_lattice(G).satisfied
+        assert check_c3ep(G).satisfied \
+            == check_c3ep_lattice(build_concept_lattice(G)).satisfied
     _finish(3, t0, 60)
 
 

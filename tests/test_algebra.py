@@ -27,8 +27,6 @@ from causaldeco.algebra import (
     reduce_onto_legs,
     sectorize,
     split_commuting_factors,
-    tensor_split_over_known_factor,
-    unitary_from_isomorphism,
 )
 from causaldeco.errors import InputError, NumericsError
 from causaldeco.tensorspace import TensorSpace, dagger, haar_unitary
@@ -162,6 +160,18 @@ def test_centre_and_is_factor():
     assert not is_factor(diag)
 
 
+@pytest.mark.parametrize("D", [2, 4, 8])
+def test_conjugated_scalars_are_a_factor(D):
+    # Every commutator of a scalar algebra is rounding noise, which must
+    # not count as rank and empty the centre.
+    w = haar_unitary(D, np.random.default_rng(D))
+    one = w @ np.eye(D) @ dagger(w)
+    alg = algebra_closure(space(("q", D)), [one])
+    assert alg.dim == 1
+    assert is_factor(alg)
+    assert centre(alg).dim == 1
+
+
 def test_minimal_central_projectors_blocks():
     # M2 (+) M3 sectorization: two central projectors of ranks 2 and 3.
     amb = space(("q", 5))
@@ -202,6 +212,15 @@ def test_factorize_factor_trivial_and_full():
     assert (d2, m2) == (4, 1)
     for e in matrix_units(4):
         assert np.linalg.norm(iso2.conj(e)) > 0.9
+
+
+def test_factorize_factor_rejects_square_dimensional_non_factor():
+    # the diagonal algebra on D=4 has dimension 4 = 2^2 but is commutative
+    diag = algebra_closure(space(("q", 4)),
+                           [np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)])
+    assert diag.dim == 4
+    with pytest.raises(NumericsError):
+        factorize_factor(diag, seed=0)
 
 
 @pytest.mark.parametrize("d,m,seed", [(2, 2, 0), (2, 3, 1), (3, 2, 2),
@@ -295,24 +314,6 @@ def test_split_last_leg_absorbs_multiplicity():
         assert resid < 1e-8
 
 
-def test_tensor_split_over_known_factor():
-    amb = space(("a", 2), ("r", 4))
-    gens = [np.kron(e, np.eye(4)) for e in matrix_units(2)]
-    gens += [np.kron(np.eye(2), np.kron(e, np.eye(2)))
-             for e in matrix_units(2)]
-    x = algebra_closure(amb, gens)
-    assert x.dim == 16
-    y = tensor_split_over_known_factor(x, ["a"])
-    # Hand computation: Y = M2 (x) 1 on the remaining dim-4 leg.
-    assert y.dim == 4
-    for e in matrix_units(2):
-        assert y.contains(np.kron(e, np.eye(2)))
-    # Missing the full known-leg algebra is an input error.
-    small = algebra_closure(amb, gens[:1])
-    with pytest.raises(InputError):
-        tensor_split_over_known_factor(small, ["a"])
-
-
 def test_reduce_onto_legs():
     amb = space(("a", 2), ("x", 2))
     full_a = algebra_closure(amb, [np.kron(e, np.eye(2))
@@ -376,11 +377,23 @@ def test_algebraic_lemma_success():
 
 
 def test_algebraic_lemma_obstruction():
-    amb, b1, b2 = _diagonal_pair_setup()
-    out = algebraic_lemma(["a"], [["x1"], ["x2"]], [b1, b2], seed=0)
+    # Factors M2 on (a, x_k), generated by X on x_k and Z on a times Z on
+    # x_k.  Both reduce onto a to the diagonal algebra, which cannot
+    # span M2, so the lemma reports two sectors.
+    amb = space(("a", 2), ("x1", 2), ("x2", 2))
+    z_a = amb.embed(SZ, ["a"])
+    bs = [algebra_closure(amb, [amb.embed(SX, [x]),
+                                z_a @ amb.embed(SZ, [x])])
+          for x in ("x1", "x2")]
+    assert all(b.dim == 4 and is_factor(b) for b in bs)
+    out = algebraic_lemma(["a"], [["x1"], ["x2"]], bs, seed=0)
     assert isinstance(out, SectorObstruction)
     assert out.decomposition.n_sectors == 2
     assert "sector" in out.message
+    # the commutative pair span{1, Z_a X_xk} breaks the factor hypothesis
+    _, b1, b2 = _diagonal_pair_setup()
+    with pytest.raises(NumericsError, match="not a factor"):
+        algebraic_lemma(["a"], [["x1"], ["x2"]], [b1, b2], seed=0)
 
 
 def test_algebraic_lemma_rejects_bad_layout():
@@ -397,38 +410,3 @@ def test_algebraic_lemma_rejects_bad_layout():
     with pytest.raises(NumericsError):
         algebraic_lemma(["a"], [["x1"], ["x2"]], [bad, b2], seed=0)
 
-
-def test_unitary_from_isomorphism_recovers_conjugation():
-    rng = np.random.default_rng(17)
-    n = 4
-    w = haar_unitary(n, rng)
-    units = matrix_units(n)
-    images = np.array([[w @ units[i * n + j] @ dagger(w) for j in range(n)]
-                       for i in range(n)])
-    rec = unitary_from_isomorphism(images)
-    # Recovered up to the fixed global phase: conjugations agree.
-    for u in units:
-        assert np.linalg.norm(rec @ u @ dagger(rec) - w @ u @ dagger(w)) \
-            < 1e-9
-    flat = rec.reshape(-1)
-    idx = int(np.argmax(np.abs(flat) > 1e-8 * np.abs(flat).max()))
-    assert abs(np.imag(flat[idx])) < 1e-9
-    assert np.real(flat[idx]) > 0
-    # Identity isomorphism gives the identity.
-    eye_images = np.array([[units[i * n + j] for j in range(n)]
-                           for i in range(n)])
-    assert np.allclose(unitary_from_isomorphism(eye_images), np.eye(n),
-                       atol=1e-9)
-
-
-def test_unitary_from_isomorphism_rejects_bad_input():
-    n = 2
-    units = matrix_units(n)
-    images = np.array([[units[i * n + j] for j in range(n)]
-                       for i in range(n)])
-    broken = images.copy()
-    broken[0, 1] = np.eye(2)
-    with pytest.raises(NumericsError):
-        unitary_from_isomorphism(broken)
-    with pytest.raises(InputError):
-        unitary_from_isomorphism(np.zeros((2, 2, 3, 3)))

@@ -95,6 +95,37 @@ def test_check_full_satisfied_json(tmp_path, capsys):
     assert data["witness"] is None
 
 
+def test_check_runs_each_route_once(tmp_path, capsys, monkeypatch):
+    import causaldeco.cli
+    import causaldeco.lattice
+    import causaldeco.relations
+    calls = {"scan": 0, "lattice": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(causaldeco.relations, "_scan_for_pattern", counting(
+        "scan", causaldeco.relations._scan_for_pattern))
+    build = counting("lattice", causaldeco.lattice.build_concept_lattice)
+    monkeypatch.setattr(causaldeco.lattice, "build_concept_lattice", build)
+    monkeypatch.setattr(causaldeco.cli, "build_concept_lattice", build)
+    rel = write_relation(tmp_path / "g41.json", overlapping_fans_relation())
+    assert main(["check", rel, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["overlap_triples"] == 1
+    assert calls == {"scan": 1, "lattice": 1}
+
+
+def test_check_route_disagreement_exits_3(capsys, monkeypatch, c3_file):
+    import causaldeco.relations
+    right = causaldeco.relations._intersection_criterion_ok
+    monkeypatch.setattr(causaldeco.relations, "_intersection_criterion_ok",
+                        lambda G: not right(G))
+    assert main(["check", c3_file]) == 3
+    assert "routes disagree" in capsys.readouterr().err
+
+
 def test_check_json_witness(capsys, c3_file):
     assert main(["check", c3_file, "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
@@ -111,6 +142,17 @@ def test_analyze_u3_gives_c3_pairs(capsys, u3_file):
     data = json.loads(capsys.readouterr().out)
     assert {tuple(p) for p in data["pairs"]} == set(c3_relation().pairs)
     assert data["borderline"] == []
+
+
+def test_analyze_non_finite_unitary_exits_2(tmp_path, capsys):
+    doc = json.loads(unitary_to_json(u3()))
+    doc["matrix"][0][0][0] = "NaN"
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
 
 
 def test_analyze_swap(tmp_path, capsys):

@@ -11,7 +11,8 @@ from causaldeco.decompose import DecompositionReport, decompose, \
 from causaldeco.errors import InputError
 from causaldeco.gallery import u3
 from causaldeco.lattice import build_concept_lattice
-from causaldeco.relations import Relation, c3_relation, full_relation
+from causaldeco.relations import Relation, c3_relation, fan_out_relation, \
+    full_relation
 from causaldeco.tensorspace import TensorSpace
 
 from test_circuits import classical_copy_c3_circuit, u3_matrix
@@ -181,6 +182,36 @@ def test_swap_on_its_own_relation():
                      (("a2",), ("b1",)), (("a1", "a2"), ())]
     assert set(circuit.wire_dims.values()) == {1}
     assert circuit.in_dims == {"a1": 2, "a2": 2}
+
+
+def test_causal_structure_computed_once(monkeypatch):
+    import causaldeco.causal
+    norm = causaldeco.causal.pair_commutator_norm
+    calls = []
+
+    def counting(U, a, b):
+        calls.append((a, b))
+        return norm(U, a, b)
+    monkeypatch.setattr(causaldeco.causal, "pair_commutator_norm", counting)
+    _, report = decompose(swap_channel(), swap_relation())
+    assert report.status == "Success" and report.faithful
+    # one commutator norm per (input, output) pair
+    assert sorted(calls) == [("a1", "b1"), ("a1", "b2"),
+                             ("a2", "b1"), ("a2", "b2")]
+
+
+@pytest.mark.parametrize("legs", [{"a1": 3, "b1": 1, "b2": 3, "b3": 1},
+                                  {"a1": 2, "b1": 2, "b2": 1, "b3": 1}])
+def test_fan_out_with_dimension_one_outputs(legs):
+    # the image of a dimension-1 output leg is the scalar algebra, a
+    # factor however much rounding noise its commutators carry
+    G = fan_out_relation(3)
+    _, U = random_circuit_unitary(build_concept_lattice(G), wire_dims={},
+                                  leg_dims=legs, seed=0)
+    circuit, report = decompose(U, G)
+    assert report.status == "Success"
+    assert [d.leg_dims for d in report.per_node_diagnostics] == [
+        (legs["b1"], legs["b2"], legs["b3"])]
 
 
 def test_single_gate_when_relation_is_full():

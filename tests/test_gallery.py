@@ -193,8 +193,19 @@ def test_obstruction_witness_u3_two_sectors():
         assert np.isclose(np.trace(p).real, 1.0)
 
 
-def test_obstruction_witness_counterexample(counterexample_c3):
+def test_obstruction_witness_counterexample(counterexample_c3, monkeypatch):
+    import causaldeco.algebra
+    reduce = causaldeco.algebra.reduce_onto_legs
+    calls = []
+
+    def counting(B, target_labels):
+        calls.append(list(target_labels))
+        return reduce(B, target_labels)
+    monkeypatch.setattr(causaldeco.algebra, "reduce_onto_legs", counting)
     deco = obstruction_witness(counterexample_c3, C3)
+    # the lemma hands its reductions on to the sector split: one per
+    # cover algebra
+    assert calls == [["P2"], ["P2"]]
     # hand derivation: the companion contributes a 2x2 factor per cover
     # and the extra qubit's diagonal still cuts two sectors
     assert deco.n_sectors == 2

@@ -10,7 +10,7 @@ import pytest
 from causaldeco.errors import InputError
 from causaldeco.lattice import (build_concept_lattice, check_c3ep_lattice,
                                 connectivity, count_paths,
-                                enumerate_closed_input_sets, join, meet,
+                                enumerate_closed_input_sets,
                                 overlap_lemma_check, shape_from_json,
                                 shape_to_json, to_dot)
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
@@ -83,23 +83,11 @@ def test_path_counts():
             assert count_paths(fans, a, b) <= 1
 
 
-def test_meet_and_join():
-    shape = build_concept_lattice(c3_relation())
-    assert meet(shape, [1, 2]) == 0
-    assert join(shape, [1, 2]) == 3
-    assert meet(shape, []) == shape.top()
-    assert join(shape, []) == shape.bottom()
-    fans = build_concept_lattice(overlapping_fans_relation())
-    # meet of the nodes at {1,2} and {2,3,4} is the node at {2}.
-    assert meet(fans, [3, 5]) == 1
-    # join matches on intersected beta: {a,b} and {c,d} meet in beta {}.
-    assert join(fans, [3, 4]) == 6
-
-
 def test_lattice_c3_check_agreement_and_evidence():
-    res = check_c3ep_lattice(overlapping_fans_relation())
+    fans = build_concept_lattice(overlapping_fans_relation())
+    res = check_c3ep_lattice(fans)
     assert res.satisfied and res.evidence is None
-    res = check_c3ep_lattice(c3_relation())
+    res = check_c3ep_lattice(build_concept_lattice(c3_relation()))
     assert not res.satisfied
     # First doubly connected pair in sorted scan order.
     assert res.evidence == ("a2", "b2", 2)
@@ -107,10 +95,12 @@ def test_lattice_c3_check_agreement_and_evidence():
 
 def test_overlap_lemma_check():
     # One branching node with nonempty alpha in the reference lattice.
-    assert overlap_lemma_check(overlapping_fans_relation()) == 1
-    assert overlap_lemma_check(chain2_relation()) == 0
+    def check(G):
+        return overlap_lemma_check(build_concept_lattice(G))
+    assert check(overlapping_fans_relation()) == 1
+    assert check(chain2_relation()) == 0
     with pytest.raises(InputError):
-        overlap_lemma_check(c3_relation())
+        check(c3_relation())
 
 
 def test_small_shapes():

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MatrixSubalgebra, matrix_units, orthonormalize
+from .algebra import MatrixSubalgebra, matrix_units
 from .errors import BorderlineToleranceWarning, InputError, NumericsError
 from .relations import Relation
 from .tensorspace import DIM_CAP, TensorSpace, dagger
@@ -167,24 +167,31 @@ def load_unitary(path) -> UnitaryChannel:
 
 
 def heisenberg_image(U: UnitaryChannel, betas) -> MatrixSubalgebra:
-    """The subalgebra U^dag(B_beta) on the input space.
+    """The subalgebra U^dag(L(H_beta) (x) 1)U on the input space.
 
-    Basis: conjugated matrix units of the composite beta legs (exact,
-    no closure iteration needed since conjugation preserves spans).
-    Generators: conjugated per-leg units, kept for cheap commutant work.
+    Closed form: group the rows of U by their beta index, W_i = the
+    (D/d_beta) x D block of rows with beta index i.  Then
+    U^dag(E_ij (x) 1)U = W_i^dag W_j, and since conjugation preserves the
+    Hilbert-Schmidt inner product, sqrt(d_beta/D) W_i^dag W_j over the
+    matrix units E_ij (row-major, beta legs in output order) is an
+    orthonormal basis.
     """
     betas = _ordered_subset(U.out_space, betas, "output")
     if not betas:
         raise InputError("heisenberg_image needs at least one output leg")
-    sub = U.out_space.subspace(betas)
-    basis = np.stack([
-        U.heisenberg(U.out_space.embed(e, betas))
-        for e in matrix_units(sub.total_dim)])
-    gens = np.stack([
-        U.heisenberg(U.out_space.embed(e, [b]))
-        for b in betas for e in matrix_units(U.out_space.dim(b))])
-    return MatrixSubalgebra(U.in_space, orthonormalize(basis),
-                            generators=gens)
+    w = _rows_by_beta(U, betas)
+    d_beta = w.shape[0]
+    basis = np.einsum("ira,jrb->ijab", w.conj(), w, optimize=True).reshape(
+        d_beta * d_beta, U.dim, U.dim) * np.sqrt(d_beta / U.dim)
+    return MatrixSubalgebra(U.in_space, basis)
+
+
+def _rows_by_beta(U: UnitaryChannel, betas) -> np.ndarray:
+    """Rows of U grouped by the index of the (ordered) beta output legs:
+    shape (d_beta, D / d_beta, D)."""
+    perm, _ = U.out_space.front_permutation(betas)
+    d_beta = U.out_space.subspace(betas).total_dim
+    return (perm @ U.matrix).reshape(d_beta, U.dim // d_beta, U.dim)
 
 
 def _ordered_subset(space: TensorSpace, labels, side) -> list[str]:
@@ -343,14 +350,11 @@ def _choi_operator(U: UnitaryChannel, betas):
     first, then betas in output order.
     """
     D = U.dim
-    d_beta = 1
-    for b in betas:
-        d_beta *= U.out_space.dim(b)
+    w = _rows_by_beta(U, betas)
+    d_beta = w.shape[0]
     if D * d_beta > DIM_CAP:
         raise InputError(
             f"Choi operator dimension {D * d_beta} exceeds cap {DIM_CAP}")
-    perm, _ = U.out_space.front_permutation(betas)
-    w = (perm @ U.matrix).reshape(d_beta, D // d_beta, D)
     rho = np.einsum("bri,crj->ibjc", w, w.conj()) / D
     rho = rho.reshape(D * d_beta, D * d_beta)
     factors = U.in_space.factors + tuple(

@@ -114,6 +114,8 @@ class Circuit:
             if g.shape != want:
                 raise InputError(
                     f"gate at node {v} has shape {g.shape}, expected {want}")
+            if not np.all(np.isfinite(g)):
+                raise InputError(f"gate at node {v} has non-finite entries")
             gates[v] = g
         extra = set(self.gates) - set(gates)
         if extra:
@@ -160,15 +162,14 @@ class Circuit:
     def gate_unitarity_residual(self) -> float:
         """Largest per-gate residual ||g^dag g - 1|| / sqrt(dim).
 
-        Rectangular gates count as infinitely non-unitary.
+        Rectangular gates count as infinitely non-unitary; a NaN
+        residual (overflow in g^dag g) is returned as NaN.
         """
-        worst = 0.0
-        for v, g in self.gates.items():
-            if g.shape[0] != g.shape[1]:
-                return float("inf")
-            resid = np.linalg.norm(dagger(g) @ g - np.eye(g.shape[1]))
-            worst = max(worst, resid / np.sqrt(g.shape[1]))
-        return worst
+        if any(g.shape[0] != g.shape[1] for g in self.gates.values()):
+            return float("inf")
+        resids = [np.linalg.norm(dagger(g) @ g - np.eye(g.shape[1]))
+                  / np.sqrt(g.shape[1]) for g in self.gates.values()]
+        return float(np.max(resids, initial=0.0))
 
     def gates_unitary(self, tol: float = GATE_UNITARITY_TOL) -> bool:
         return self.gate_unitarity_residual() <= tol

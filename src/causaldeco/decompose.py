@@ -136,11 +136,7 @@ def _verify(U, circuit, G, tol, structure) -> DecompositionReport:
 
 def _conjugated(alg: MatrixSubalgebra, vmat, frame) -> MatrixSubalgebra:
     # unitary conjugation keeps the basis orthonormal
-    basis = vmat @ alg.basis @ dagger(vmat)
-    gens = None
-    if alg.generators is not None:
-        gens = vmat @ alg.generators @ dagger(vmat)
-    return MatrixSubalgebra(frame, basis, generators=gens)
+    return MatrixSubalgebra(frame, vmat @ alg.basis @ dagger(vmat))
 
 
 def _partial_composition(shape, gates, wire_dims, in_dims, out_dims,

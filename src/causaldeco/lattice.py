@@ -59,7 +59,6 @@ class ConceptLattice:
         self.covers = tuple(tuple(c) for c in covers)
         self.lam = dict(lam)
         self.mu = dict(mu)
-        self._index = {n.alpha: i for i, n in enumerate(self.nodes)}
         self._leq = self._compute_leq()
         self._validate()
 
@@ -77,7 +76,7 @@ class ConceptLattice:
 
     def _validate(self):
         n = len(self.nodes)
-        if len(self._index) != n:
+        if len({node.alpha for node in self.nodes}) != n:
             raise InputError("duplicate node alpha sets")
         for i, j in self.covers:
             if not (0 <= i < n and 0 <= j < n):
@@ -98,12 +97,6 @@ class ConceptLattice:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self._leq[i, j])
-
-    def index_of_alpha(self, alpha) -> int:
-        key = tuple(sorted(alpha))
-        if key not in self._index:
-            raise InputError(f"no node with alpha {key}")
-        return self._index[key]
 
     def bottom(self) -> int:
         mins = [i for i in range(len(self.nodes))

@@ -96,9 +96,6 @@ class TensorSpace:
         perm[np.arange(self.total_dim), src] = 1.0
         return perm
 
-    def permuted(self, new_labels) -> "TensorSpace":
-        return self.subspace(new_labels)
-
     def front_permutation(self, labels) -> tuple[np.ndarray, "TensorSpace"]:
         """Permutation bringing ``labels`` (in that order) to the front."""
         order = tuple(labels) + self.complement(labels)

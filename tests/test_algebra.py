@@ -9,6 +9,7 @@ solver itself.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causaldeco.algebra import (
     LemmaSplit,
@@ -28,6 +29,7 @@ from causaldeco.algebra import (
     sectorize,
     split_commuting_factors,
 )
+from causaldeco.causal import UnitaryChannel, heisenberg_image
 from causaldeco.errors import InputError, NumericsError
 from causaldeco.tensorspace import TensorSpace, dagger, haar_unitary
 
@@ -407,6 +409,72 @@ def test_algebraic_lemma_rejects_bad_layout():
     # Support violation: an algebra touching the other side's X leg.
     amb2 = amb
     bad = algebra_closure(amb2, [amb2.embed(SX, ["x2"])])
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="not supported"):
         algebraic_lemma(["a"], [["x1"], ["x2"]], [bad, b2], seed=0)
 
+
+def test_algebraic_lemma_rejects_broken_hypotheses():
+    # Factors on (a, x1, x2) that break exactly one hypothesis each.
+    amb = space(("a", 2), ("x1", 2), ("x2", 2))
+
+    def m2(*gens):
+        alg = algebra_closure(amb, [amb.embed(g, legs) for g, legs in gens])
+        assert alg.dim == 4 and is_factor(alg)
+        return alg
+
+    on_a = m2((SX, ["a"]), (SZ, ["a"]))
+    on_a_x2 = m2((SX, ["x2"]), (np.kron(SZ, SZ), ["a", "x2"]))
+    # Z_a and X_a X_x2 commute with X_x2 and Z_a Z_x2
+    partner = m2((SZ, ["a"]), (np.kron(SX, SX), ["a", "x2"]))
+    with pytest.raises(NumericsError, match="do not commute"):
+        algebraic_lemma(["a"], [["x1"], ["x2"]], [on_a, on_a_x2], seed=0)
+    # on_a_x2 leaks onto x2, the X leg of its partner
+    with pytest.raises(NumericsError, match="algebra 0 is not supported"):
+        algebraic_lemma(["a"], [["x1"], ["x2"]], [on_a_x2, partner], seed=0)
+
+
+
+def block_algebra(blocks, w):
+    """w (+_i M_{d_i} (x) 1_{m_i}) w^dag, with an orthonormal basis."""
+    D = w.shape[0]
+    basis = []
+    start = 0
+    for d, m in blocks:
+        for e in matrix_units(d):
+            g = np.zeros((D, D), dtype=complex)
+            g[start:start + d * m, start:start + d * m] = \
+                np.kron(e, np.eye(m)) / np.sqrt(m)
+            basis.append(w @ g @ dagger(w))
+        start += d * m
+    return MatrixSubalgebra(space(("q", D)), np.stack(basis))
+
+
+BLOCKS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                  min_size=1, max_size=3).filter(
+    lambda bl: sum(d * m for d, m in bl) <= 12)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(blocks=BLOCKS,
+       out_dims=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+       betas=st.sampled_from([["b1"], ["b2"], ["b1", "b2"]]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_algebra_properties(blocks, out_dims, betas, seed):
+    # Wedderburn facts of a hidden block algebra, and the closed-form
+    # Heisenberg image basis against the conjugated matrix units.
+    rng = np.random.default_rng(seed)
+    S = block_algebra(blocks, haar_unitary(sum(d * m for d, m in blocks),
+                                           rng))
+    assert centre(S).dim == len(blocks)
+    assert is_factor(S) == (len(blocks) == 1)
+    assert commutant(commutant(S)).same_span(S)
+    outs = space(("b1", out_dims[0]), ("b2", out_dims[1]))
+    D = outs.total_dim
+    U = UnitaryChannel(haar_unitary(D, rng), space(("a", D)), outs)
+    img = heisenberg_image(U, betas)
+    d_beta = outs.subspace(betas).total_dim
+    assert img.dim == d_beta ** 2
+    v = img.basis.reshape(img.dim, -1)
+    assert np.abs(v.conj() @ v.T - np.eye(img.dim)).max() <= 1e-12
+    for e in matrix_units(d_beta):
+        assert img.contains(U.heisenberg(outs.embed(e, betas)))

@@ -192,6 +192,28 @@ def test_compose_classical_copy_circuit_is_u3():
     assert connectivity(circuit.shape).same_pairs(c3_relation())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_circuit_rejects_non_finite_gates(bad):
+    circuit, _ = random_circuit_unitary(chain2_relation(), seed=0)
+    gates = {v: g.copy() for v, g in circuit.gates.items()}
+    gates[0][0, 0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        Circuit(circuit.shape, circuit.wire_dims, circuit.in_dims,
+                circuit.out_dims, gates)
+
+
+def test_overflowing_gate_is_not_unitary():
+    # finite entries whose g^dag g holds inf - inf: the NaN residual must
+    # survive the max over gates and fail the unitarity test
+    circuit, _ = random_circuit_unitary(chain2_relation(), seed=0)
+    g = np.full(circuit.gates[0].shape, 1e200, dtype=complex)
+    g[0, 1] = -1e200
+    circuit.gates[0] = g
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(circuit.gate_unitarity_residual())
+        assert not circuit.gates_unitary()
+
+
 def test_compose_two_cnot_chain_is_u3():
     # Hand-built two-box chain: box 0 takes (a1, a2) and emits b1 plus
     # the middle qubit on a wire; box 1 takes (wire, a3) and emits

@@ -240,6 +240,23 @@ def test_verify_rejects_wrong_unitary(tmp_path, capsys):
     assert "gates unitary: yes" in out
 
 
+def test_verify_non_finite_gate_exits_2(tmp_path, capsys):
+    G = chain2_relation()
+    rel = write_relation(tmp_path / "chain2.json", G)
+    _, U = random_circuit_unitary(G, seed=3)
+    uf = write_unitary(tmp_path / "u.json", U)
+    cf = tmp_path / "circ.json"
+    assert main(["decompose", uf, rel, "--out", str(cf)]) == 0
+    doc = json.loads(cf.read_text())
+    next(iter(doc["gates"].values()))[0][0][0] = "NaN"
+    cf.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", uf, str(cf), rel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
 def test_decompose_pad_connectivity(tmp_path, capsys, u3_file, c3_file):
     cf = str(tmp_path / "circ.json")
     code = main(["decompose", u3_file, c3_file, "--pad-connectivity",

@@ -109,12 +109,12 @@ def _space_to_json(space: TensorSpace) -> list:
 def _space_from_json(items, side) -> TensorSpace:
     if not isinstance(items, list):
         raise InputError(f"{side} legs must be a list")
-    factors = []
-    for it in items:
-        if not isinstance(it, dict) or "label" not in it or "dim" not in it:
-            raise InputError(f"each {side} leg needs 'label' and 'dim'")
-        factors.append((str(it["label"]), int(it["dim"])))
-    return TensorSpace(tuple(factors))
+    try:
+        factors = tuple((str(it["label"]), int(it["dim"])) for it in items)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"each {side} leg needs a 'label' and an integer "
+                         f"'dim' ({exc!r})") from exc
+    return TensorSpace(factors)
 
 
 def matrix_to_cells(mat) -> list:
@@ -124,17 +124,22 @@ def matrix_to_cells(mat) -> list:
 
 
 def matrix_from_cells(rows, dout, din) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dout:
-        raise InputError(f"matrix must have {dout} rows")
-    mat = np.zeros((dout, din), dtype=complex)
+    if not isinstance(rows, list) or len(rows) != dout or not all(
+            isinstance(row, list) and len(row) == din for row in rows):
+        raise InputError(f"matrix must have {dout} rows of {din} cells")
+    mat = np.empty((dout, din, 2))
+    # row by row: converting all at once holds bookkeeping for every cell
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != din:
-            raise InputError(f"matrix row {i} has the wrong length")
-        for j, cell in enumerate(row):
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise InputError("matrix entries must be [re, im] pairs")
-            mat[i, j] = float(cell[0]) + 1j * float(cell[1])
-    return mat
+        try:
+            cells = np.asarray(row, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"matrix row {i}: entries must be [re, im] "
+                             f"number pairs ({exc})") from exc
+        if cells.shape != (din, 2):
+            raise InputError(f"matrix row {i}: entries must be [re, im] "
+                             f"number pairs")
+        mat[i] = cells
+    return mat.view(complex)[..., 0]
 
 
 def unitary_to_json(U: UnitaryChannel) -> str:
@@ -189,9 +194,13 @@ def heisenberg_image(U: UnitaryChannel, betas) -> MatrixSubalgebra:
 def _rows_by_beta(U: UnitaryChannel, betas) -> np.ndarray:
     """Rows of U grouped by the index of the (ordered) beta output legs:
     shape (d_beta, D / d_beta, D)."""
-    perm, _ = U.out_space.front_permutation(betas)
-    d_beta = U.out_space.subspace(betas).total_dim
-    return (perm @ U.matrix).reshape(d_beta, U.dim // d_beta, U.dim)
+    space = U.out_space
+    front = [space.index(l) for l in betas]
+    order = front + [k for k in range(len(space.dims)) if k not in front]
+    d_beta = space.subspace(betas).total_dim
+    rows = U.matrix.reshape(space.dims + (U.dim,))
+    return rows.transpose(order + [len(order)]).reshape(
+        d_beta, U.dim // d_beta, U.dim)
 
 
 def _ordered_subset(space: TensorSpace, labels, side) -> list[str]:
@@ -219,47 +228,50 @@ def _move_leg_front(g: np.ndarray, space: TensorSpace, label: str):
     return moved.reshape(d, R, d, R)
 
 
+def _output_leg_norms(U: UnitaryChannel, b: str, alphas) -> dict:
+    """Max raw Frobenius norm of [U^dag(E (x) 1)U, F (x) 1] over matrix
+    units E of output leg b and F of input leg a, for each a in alphas.
+
+    Each image U^dag(E_ij (x) 1)U is formed once, as W_i^dag W_j from the
+    rows of U grouped by b index, and tested against every input leg.
+    With g in a-leg-first coordinates (d, R, d, R), the squared norm for
+    F_kl is the off-diagonal block mass in column k and in row l plus the
+    squared distance between diagonal blocks k and l: sums of squares, so
+    commuting pairs come out at roundoff scale."""
+    w = _rows_by_beta(U, [b])
+    best = dict.fromkeys(alphas, 0.0)
+    for wi in w:
+        wi_dag = dagger(wi)
+        for wj in w:
+            g = wi_dag @ wj
+            for a in alphas:
+                g4 = _move_leg_front(g, U.in_space, a)
+                sq = np.einsum("irjs->ij", np.abs(g4) ** 2)
+                off = sq - np.diag(np.diag(sq))
+                dg = np.einsum("mrms->mrs", g4)
+                d1 = np.einsum("klrs->kl", np.abs(dg[:, None] - dg[None]) ** 2)
+                n2 = off.sum(axis=0)[:, None] + off.sum(axis=1)[None, :] + d1
+                best[a] = max(best[a], float(n2.max()))
+    return {a: float(np.sqrt(max(s, 0.0))) for a, s in best.items()}
+
+
 def pair_commutator_norm(U: UnitaryChannel, a: str, b: str) -> float:
-    """Max raw Frobenius norm of [U^dag(E (x) 1), F (x) 1] over matrix
-    units E of the b output leg and F of the a input leg.
-
-    Uses a closed form: with the image g in a-leg-first coordinates
-    (d, R, d, R), the squared norm for unit F_kl is the off-diagonal
-    block mass in column k plus the off-diagonal mass in row l plus the
-    squared distance between the k-th and l-th diagonal blocks.  All
-    three terms are sums of squares (differences taken before squaring),
-    so commuting pairs come out at true roundoff scale instead of
-    suffering cancellation.
-    """
-    db = U.out_space.dim(b)
-    best = 0.0
-    for e in matrix_units(db):
-        g = U.heisenberg(U.out_space.embed(e, [b]))
-        g4 = _move_leg_front(g, U.in_space, a)
-        sq = np.einsum("irjs->ij", np.abs(g4) ** 2)
-        off = sq.copy()
-        np.fill_diagonal(off, 0.0)
-        col_off = off.sum(axis=0)
-        row_off = off.sum(axis=1)
-        dg = np.einsum("mrms->mrs", g4)
-        diff = dg[:, None, :, :] - dg[None, :, :, :]
-        d1 = np.einsum("klrs->kl", np.abs(diff) ** 2)
-        n2 = col_off[:, None] + row_off[None, :] + d1
-        best = max(best, float(n2.max()))
-    return float(np.sqrt(max(best, 0.0)))
+    """Max raw Frobenius norm of [U^dag(E (x) 1)U, F (x) 1] over matrix
+    units E of the b output leg and F of the a input leg: the one-leg case
+    of ``_output_leg_norms``, with each image W_i^dag W_j in closed form."""
+    return _output_leg_norms(U, b, [a])[a]
 
 
-def _pair_decision(U: UnitaryChannel, a: str, b: str, rel_tol):
-    """(raw norm, threshold, influences, borderline) for one leg pair.
+def _pair_decision(U: UnitaryChannel, a: str, b: str, raw, rel_tol):
+    """(threshold, influences, borderline) for a pair's raw norm.
 
     The threshold is rel_tol times |E (x) 1| on each side, sqrt(D/da) *
     sqrt(D/db); a norm within a factor of ten of it is borderline.
     """
-    raw = pair_commutator_norm(U, a, b)
     D = U.dim
     cut = rel_tol * float(np.sqrt(D / U.in_space.dim(a))
                           * np.sqrt(D / U.out_space.dim(b)))
-    return raw, cut, not (raw <= cut), cut / 10 < raw < cut * 10
+    return cut, not (raw <= cut), cut / 10 < raw < cut * 10
 
 
 def influences(U: UnitaryChannel, a: str, b: str,
@@ -269,7 +281,8 @@ def influences(U: UnitaryChannel, a: str, b: str,
         raise InputError(f"unknown input leg {a!r}")
     if b not in U.out_space.labels:
         raise InputError(f"unknown output leg {b!r}")
-    raw, cut, hit, borderline = _pair_decision(U, a, b, rel_tol)
+    raw = pair_commutator_norm(U, a, b)
+    cut, hit, borderline = _pair_decision(U, a, b, raw, rel_tol)
     if warn and borderline:
         warnings.warn(
             f"influence test for ({a}, {b}) is borderline: commutator "
@@ -281,10 +294,7 @@ def influences(U: UnitaryChannel, a: str, b: str,
 def causal_structure(U: UnitaryChannel,
                      rel_tol=INFLUENCE_REL_TOL) -> Relation:
     """The relation of influencing (input, output) pairs."""
-    pairs = {(a, b) for a in U.in_space.labels for b in U.out_space.labels
-             if _pair_decision(U, a, b, rel_tol)[2]}
-    return Relation(U.in_space.labels, U.out_space.labels,
-                    frozenset(pairs))
+    return causal_structure_report(U, rel_tol).relation
 
 
 @dataclass
@@ -299,14 +309,15 @@ class CausalReport:
 
 def causal_structure_report(U: UnitaryChannel,
                             rel_tol=INFLUENCE_REL_TOL) -> CausalReport:
-    pairs = set()
-    raw_norms = {}
-    thresholds = {}
-    borderline = []
+    """Causal structure from one ``_output_leg_norms`` pass per output
+    leg, with the raw norm, threshold and borderline flag of each pair."""
+    by_b = {b: _output_leg_norms(U, b, U.in_space.labels)
+            for b in U.out_space.labels}
+    pairs, raw_norms, thresholds, borderline = set(), {}, {}, []
     for a in U.in_space.labels:
         for b in U.out_space.labels:
-            raw, cut, hit, border = _pair_decision(U, a, b, rel_tol)
-            raw_norms[(a, b)] = raw
+            raw = raw_norms[(a, b)] = by_b[b][a]
+            cut, hit, border = _pair_decision(U, a, b, raw, rel_tol)
             thresholds[(a, b)] = cut
             if border:
                 borderline.append((a, b))

@@ -7,8 +7,9 @@ structure of a unitary), decompose (synthesize a circuit), verify
 (seeded generate/decompose trials), gallery (named reference channels).
 
 Exit codes: 0 success or satisfied, 1 principled refusal or violation,
-2 malformed input, 3 numerical assertion failure.  All randomness is
-seeded (default seed 0), so output is reproducible byte for byte.
+2 malformed input, 3 numerical assertion failure or out of memory.  All
+randomness is seeded (default seed 0), so output is reproducible byte
+for byte.
 """
 
 import argparse
@@ -363,6 +364,9 @@ def main(argv=None) -> int:
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ output flip.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from causaldeco.causal import (
     UnitaryChannel,
@@ -154,8 +155,27 @@ def test_u3_raw_norm_dichotomy():
     assert rep.borderline == []
 
 
+def direct_commutator_norm(u, a, b):
+    """Independent route: naive matmul over all unit pairs."""
+    ins, outs = u.in_space, u.out_space
+    db, da = outs.dim(b), ins.dim(a)
+    best = 0.0
+    for k in range(db):
+        for l in range(db):
+            e = np.zeros((db, db), complex)
+            e[k, l] = 1.0
+            g = u.heisenberg(outs.embed(e, [b]))
+            for p in range(da):
+                for q in range(da):
+                    f = np.zeros((da, da), complex)
+                    f[p, q] = 1.0
+                    femb = ins.embed(f, [a])
+                    best = max(best, float(np.linalg.norm(
+                        g @ femb - femb @ g)))
+    return best
+
+
 def test_slice_formula_matches_direct_commutators():
-    # Independent route: naive matmul over all unit pairs.
     rng = np.random.default_rng(23)
     ins = TensorSpace((("a1", 2), ("a2", 3)))
     outs = TensorSpace((("b1", 3), ("b2", 2)))
@@ -163,22 +183,71 @@ def test_slice_formula_matches_direct_commutators():
     for a in ins.labels:
         for b in outs.labels:
             fast = pair_commutator_norm(u, a, b)
-            best = 0.0
-            db = outs.dim(b)
-            for k in range(db):
-                for l in range(db):
-                    e = np.zeros((db, db), complex)
-                    e[k, l] = 1.0
-                    g = u.heisenberg(outs.embed(e, [b]))
-                    da = ins.dim(a)
-                    for p in range(da):
-                        for q in range(da):
-                            f = np.zeros((da, da), complex)
-                            f[p, q] = 1.0
-                            femb = ins.embed(f, [a])
-                            best = max(best, float(np.linalg.norm(
-                                g @ femb - femb @ g)))
+            best = direct_commutator_norm(u, a, b)
             assert abs(fast - best) < 1e-10 * max(best, 1.0)
+
+
+@st.composite
+def leg_splits(draw):
+    """Input and output leg lists over one total dimension D <= 24: the
+    factors of D dealt at random to 1-4 legs a side, so legs of
+    dimension 1 and unequal leg counts both occur."""
+    atoms = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3).filter(
+        lambda xs: int(np.prod(xs)) <= 24))
+
+    def deal(tag):
+        dims = [1] * draw(st.integers(1, 4))
+        for x in atoms:
+            dims[draw(st.integers(0, len(dims) - 1))] *= x
+        # keeps the naive oracle's da^2 * db^2 commutators small
+        assume(max(dims) <= 8)
+        return TensorSpace(tuple((f"{tag}{k + 1}", d)
+                                 for k, d in enumerate(dims)))
+    return deal("a"), deal("b")
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(legs=leg_splits(), seed=st.integers(0, 2**32 - 1))
+def test_causal_structure_matches_direct_commutators(legs, seed):
+    # The one-pass report, the one-pair norm and the naive oracle agree
+    # on Haar unitaries; tolerance scaled by |E (x) 1| |F (x) 1|.
+    ins, outs = legs
+    D = ins.total_dim
+    u = UnitaryChannel(haar_unitary(D, np.random.default_rng(seed)),
+                       ins, outs)
+    rep = causal_structure_report(u)
+    assert set(rep.raw_norms) == {(a, b) for a in ins.labels
+                                  for b in outs.labels}
+    for (a, b), raw in rep.raw_norms.items():
+        assert raw == pair_commutator_norm(u, a, b)
+        scale = np.sqrt(D / ins.dim(a)) * np.sqrt(D / outs.dim(b))
+        assert abs(raw - direct_commutator_norm(u, a, b)) <= 1e-12 * scale
+    assert causal_structure(u).pairs == rep.relation.pairs
+
+
+def test_influence_path_forms_images_in_closed_form(monkeypatch):
+    # the influence path neither embeds nor conjugates; the composite
+    # route still does both, so it stays an independent check
+    u = u3_channel()
+    calls = []
+
+    def embed(self, op, labels):
+        calls.append("embed")
+        return embed_orig(self, op, labels)
+
+    def heisenberg(self, op):
+        calls.append("heisenberg")
+        return heisenberg_orig(self, op)
+    embed_orig, heisenberg_orig = TensorSpace.embed, UnitaryChannel.heisenberg
+    monkeypatch.setattr(TensorSpace, "embed", embed)
+    monkeypatch.setattr(UnitaryChannel, "heisenberg", heisenberg)
+    assert causal_structure_report(u).relation.same_pairs(c3_relation())
+    assert causal_structure(u).same_pairs(c3_relation())
+    assert pair_commutator_norm(u, "a2", "b2") > 0.5
+    assert influences(u, "a2", "b2")
+    assert calls == []
+    assert composite_influences(u, ["a2"], ["b2"])
+    assert {"embed", "heisenberg"} <= set(calls)
 
 
 def test_choi_oracle_agrees_with_commutator_route():

@@ -155,6 +155,38 @@ def test_analyze_non_finite_unitary_exits_2(tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cell", [None, 0]), ("cell", [{}, 0]), ("cell", [[1], 0]),
+    ("dim", None)])
+def test_analyze_malformed_unitary_exits_2(tmp_path, capsys, field, value):
+    doc = json.loads(unitary_to_json(u3()))
+    if field == "cell":
+        doc["matrix"][0][0] = value
+    else:
+        doc["in"][0]["dim"] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch, u3_file):
+    import causaldeco.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+    monkeypatch.setattr(causaldeco.cli, "causal_structure_report", exhausted)
+    assert main(["analyze", u3_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "out of memory" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_analyze_swap(tmp_path, capsys):
     sp = TensorSpace((("a1", 2), ("a2", 2)))
     op = TensorSpace((("b1", 2), ("b2", 2)))

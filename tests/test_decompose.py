@@ -186,18 +186,17 @@ def test_swap_on_its_own_relation():
 
 def test_causal_structure_computed_once(monkeypatch):
     import causaldeco.causal
-    norm = causaldeco.causal.pair_commutator_norm
+    leg_norms = causaldeco.causal._output_leg_norms
     calls = []
 
-    def counting(U, a, b):
-        calls.append((a, b))
-        return norm(U, a, b)
-    monkeypatch.setattr(causaldeco.causal, "pair_commutator_norm", counting)
+    def counting(U, b, alphas):
+        calls.append((b, tuple(alphas)))
+        return leg_norms(U, b, alphas)
+    monkeypatch.setattr(causaldeco.causal, "_output_leg_norms", counting)
     _, report = decompose(swap_channel(), swap_relation())
     assert report.status == "Success" and report.faithful
-    # one commutator norm per (input, output) pair
-    assert sorted(calls) == [("a1", "b1"), ("a1", "b2"),
-                             ("a2", "b1"), ("a2", "b2")]
+    # one pass per output leg, each testing every input leg
+    assert sorted(calls) == [("b1", ("a1", "a2")), ("b2", ("a1", "a2"))]
 
 
 @pytest.mark.parametrize("legs", [{"a1": 3, "b1": 1, "b2": 3, "b3": 1},

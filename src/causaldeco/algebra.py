@@ -9,6 +9,13 @@ leg, and the joint sector decomposition of several commuting algebras
 sharing a leg.  These are the numerical primitives the decomposer calls
 at every lattice node.
 
+Two solvers carry the rest: algebra_closure, which generates an algebra
+from matrices, and one null-space routine, which finds the elements of a
+span that commute with given test matrices.  Centres solve it on the
+algebra's own basis; commutants solve it on all D^2 matrix units, so
+they stay off the synthesis path: a reduction onto local legs is the
+closure of its Schmidt factors, not their double commutant.
+
 Determinism: every routine that draws random elements takes a seed and
 uses its own generator, so repeated runs give identical results.  The
 hypothesis checks (centre, commutant, pairwise commutation, support)
@@ -39,7 +46,9 @@ SVD_RANK_REL = 1e-9
 COMM_REL_TOL = 1e-9
 CLUSTER_REL = 1e-7
 RESIDUAL_TOL = 1e-8
-# Dense commutant solves build a D^2 x D^2 normal matrix.
+# commutant_of solves over all D^2 matrix units, an SVD of a
+# (2n D^2) x D^2 commutator map for n test matrices; no pipeline step
+# calls it, and commutant stays within this cap.
 COMMUTANT_DIM_CAP = 32
 _GENERIC_SEED = 0
 
@@ -155,51 +164,51 @@ class MatrixSubalgebra:
 def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
     """Smallest unital *-subalgebra containing the matrices ``mats``.
 
-    Iterates left multiplication of the current span by the matrices
-    and their adjoints; once the span is stable under that and contains
-    the identity it contains all words in the matrices, hence the
-    algebra.
+    Orthonormalises the identity, the matrices and their adjoints once;
+    that seed both starts the span and multiplies it from the left.
+    Once the span is stable under left multiplication by the seed it
+    contains all words in the matrices, hence the algebra.
     """
     d = ambient.total_dim
     gens = [np.asarray(g, dtype=complex) for g in mats]
     for g in gens:
         if g.shape != (d, d):
             raise InputError(f"generator shape {g.shape}, ambient {d}")
-    seed_mats = [np.eye(d)] + gens + [dagger(g) for g in gens]
-    basis = orthonormalize(np.stack(seed_mats))
-    mult = [g for g in gens if np.linalg.norm(g) > 0]
-    mult = mult + [dagger(g) for g in mult]
-    while True:
-        if basis.shape[0] == d * d:
-            break
-        prods = np.stack([g @ b for g in mult for b in basis]) if mult else None
-        if prods is None:
-            break
+    mult = orthonormalize(np.stack([np.eye(d)] + gens
+                                   + [dagger(g) for g in gens]))
+    basis = mult
+    while basis.shape[0] < d * d:
+        prods = (mult[:, None] @ basis[None]).reshape(-1, d, d)
         vb = _vec(basis)
         vp = _vec(prods)
         resid = vp - (vp @ vb.conj().T) @ vb
-        norms = np.linalg.norm(vp, axis=1)
-        floor = SVD_RANK_REL * (norms.max() if norms.size else 1.0)
+        floor = SVD_RANK_REL * np.linalg.norm(vp, axis=1).max()
         new = orthonormalize(resid.reshape(-1, d, d), floor=floor)
         if new.shape[0] == 0:
             break
-        basis = np.concatenate([basis, new])
-        basis = orthonormalize(basis)
+        basis = orthonormalize(np.concatenate([basis, new]))
     return MatrixSubalgebra(ambient, basis)
 
 
-def _commutant_normal_matrix(mats) -> np.ndarray:
-    """N = sum_g M_g^dag M_g where M_g X = [g, X] in row-major vec form."""
-    d = mats[0].shape[0]
-    eye = np.eye(d)
-    n = np.zeros((d * d, d * d), dtype=complex)
-    for g in mats:
-        gd = dagger(g)
-        n += np.kron(gd @ g, eye)
-        n += np.kron(eye, (g @ gd).T)
-        n -= np.kron(gd, g.T)
-        n -= np.kron(g, g.conj())
-    return n
+def _commuting_part(basis, test) -> np.ndarray:
+    """Orthonormal basis of the elements of span(basis) that commute
+    with every matrix in ``test``, as the null space of the stacked
+    commutator map in basis coordinates."""
+    rows = []
+    for g in test:
+        block = np.stack([b @ g - g @ b for b in basis])
+        rows.append(_vec(block).T)
+    m = np.concatenate(rows, axis=0)
+    # m has >= len(basis) rows, so the reduced vh still spans every
+    # coefficient direction; full_matrices would allocate on the row count
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    # the floor at the test elements' scale keeps rounding-noise
+    # commutators (a conjugated scalar algebra) from counting as rank
+    floor = SVD_RANK_REL * max(np.linalg.norm(g) for g in test)
+    cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
+    rank = int(np.sum(s > cut))
+    coeffs = vh[rank:].conj()
+    return orthonormalize(np.tensordot(coeffs, basis, axes=(1, 0)))
 
 
 def commutant_of(mats, ambient: TensorSpace) -> MatrixSubalgebra:
@@ -215,21 +224,8 @@ def commutant_of(mats, ambient: TensorSpace) -> MatrixSubalgebra:
     test = mats + [dagger(m) for m in mats]
     if not test:
         return MatrixSubalgebra.full(ambient)
-    n = _commutant_normal_matrix(test)
-    vals, vecs = np.linalg.eigh(n)
-    vals = np.clip(vals, 0.0, None)
-    top = vals[-1]
-    # Eigenvalues are squared singular values of the stacked commutator
-    # map.  The assembly above cancels the commuting part across a sum
-    # of kron products, so even exact null directions carry absolute
-    # dust linear in eps, not squared; the floor must sit above that,
-    # which matters when the whole test set commutes and top itself is
-    # assembly noise.
-    noise = 100 * d * len(test) * np.finfo(float).eps
-    cut = max(1e-12 * d * d * top, noise)
-    null = vecs[:, vals <= cut]
-    basis = np.transpose(null).reshape(-1, d, d)
-    return MatrixSubalgebra(ambient, basis)
+    units = np.stack(matrix_units(d))
+    return MatrixSubalgebra(ambient, _commuting_part(units, test))
 
 
 def commutant(S: MatrixSubalgebra) -> MatrixSubalgebra:
@@ -238,27 +234,10 @@ def commutant(S: MatrixSubalgebra) -> MatrixSubalgebra:
 
 def centre(S: MatrixSubalgebra) -> MatrixSubalgebra:
     """Elements of S commuting with all of S, solved in S coordinates."""
-    k = S.dim
-    if k == 0:
+    if S.dim == 0:
         raise InputError("centre of an empty algebra")
-    d = S.ambient.total_dim
-    test = S.test_elements()
-    rows = []
-    for g in test:
-        block = np.stack([b @ g - g @ b for b in S.basis])
-        rows.append(_vec(block).T)
-    m = np.concatenate(rows, axis=0)
-    # m has >= k rows, so the reduced vh still spans all k coefficient
-    # directions; full_matrices would allocate on the row count
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    # the floor at the test elements' scale keeps rounding-noise
-    # commutators (a conjugated scalar algebra) from counting as rank
-    floor = SVD_RANK_REL * max(np.linalg.norm(g) for g in test)
-    cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
-    rank = int(np.sum(s > cut))
-    coeffs = vh[rank:].conj()
-    mats = np.tensordot(coeffs, S.basis, axes=(1, 0))
-    return MatrixSubalgebra(S.ambient, orthonormalize(mats))
+    return MatrixSubalgebra(S.ambient,
+                            _commuting_part(S.basis, S.test_elements()))
 
 
 def is_factor(S: MatrixSubalgebra) -> bool:
@@ -314,7 +293,7 @@ def minimal_central_projectors(S: MatrixSubalgebra, seed=0):
         if not ok:
             continue
         total = sum(projs)
-        if np.linalg.norm(total - np.eye(d)) > RESIDUAL_TOL * np.sqrt(d):
+        if not np.linalg.norm(total - np.eye(d)) <= RESIDUAL_TOL * np.sqrt(d):
             continue
         return projs
     raise NumericsError(
@@ -339,7 +318,7 @@ class UnitaryIso:
             raise InputError(f"matrix shape {self.matrix.shape}, expected "
                              f"({d}, {d})")
         resid = np.linalg.norm(dagger(self.matrix) @ self.matrix - np.eye(d))
-        if resid > 1e-7 * np.sqrt(d):
+        if not resid <= 1e-7 * np.sqrt(d):
             raise NumericsError(f"matrix is not unitary (residual {resid:.2e})")
 
     def conj(self, mat) -> np.ndarray:
@@ -405,7 +384,7 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
         for i in range(1, d):
             q = projs[i] @ s @ projs[0]
             uu, sv, vv = np.linalg.svd(q)
-            if sv.size < m or sv[m - 1] <= 1e-8 * sv[0]:
+            if sv.size < m or not sv[m - 1] > 1e-8 * sv[0]:
                 ok = False
                 break
             cand.append(uu[:, :m] @ vv[:m, :])
@@ -430,12 +409,12 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
     # Verify both directions of the claimed form.
     for b in B.basis:
         _, resid = codomain.restrict(iso.conj(b), [labels[0]])
-        if resid > RESIDUAL_TOL:
+        if not resid <= RESIDUAL_TOL:
             raise NumericsError(
                 f"factorization verification failed (residual {resid:.2e})")
     for e in matrix_units(d):
         back = iso.inv_conj(codomain.embed(e, [labels[0]]))
-        if B.residual(back) > RESIDUAL_TOL:
+        if not B.residual(back) <= RESIDUAL_TOL:
             raise NumericsError("factorization verification failed on the "
                                 "reverse direction")
     return iso, d, m
@@ -506,7 +485,7 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
             for mat in cur[j].basis:
                 moved = iso.conj(mat)
                 small, resid = pair.restrict(moved, ["c"])
-                if resid > RESIDUAL_TOL:
+                if not resid <= RESIDUAL_TOL:
                     raise NumericsError(
                         f"algebra {j} leaks onto the split leg "
                         f"(residual {resid:.2e})")
@@ -524,8 +503,12 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
 def reduce_onto_legs(B: MatrixSubalgebra, target_labels) -> MatrixSubalgebra:
     """Smallest algebra C on the target legs with B inside L(rest) x C.
 
-    Computed as the double commutant, on the target legs, of the Schmidt
-    factors of B's basis over the (rest | target) split.
+    C is generated by the Schmidt factors of B's basis over the
+    (rest | target) split: B lies in L(rest) x C exactly when every
+    such factor lies in C.  The factors of a *-algebra span a *-closed
+    set containing the identity, and in finite dimensions the unital
+    *-algebra such a set generates equals its double commutant (von
+    Neumann), so the closure is the bicommutant with no commutant solve.
     """
     ambient = B.ambient
     target_labels = list(target_labels)
@@ -542,8 +525,7 @@ def reduce_onto_legs(B: MatrixSubalgebra, target_labels) -> MatrixSubalgebra:
     if amb_order != target_labels:
         p = ambient.subspace(amb_order).permutation_to(target_labels)
         ys = [p @ y @ p.T for y in ys]
-    z = commutant_of(ys, target_space)
-    return commutant(z)
+    return algebra_closure(target_space, ys)
 
 
 @dataclass
@@ -679,17 +661,18 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
             continue
         q = vecs[:, keep]
         p_clean = q @ dagger(q)
-        if np.linalg.norm(p_clean - p) > 1e-6 * np.sqrt(d_a):
+        if not np.linalg.norm(p_clean - p) <= 1e-6 * np.sqrt(d_a):
             raise NumericsError("joint central product is far from a "
                                 "projector")
         clean.append((tup, p_clean, q))
 
     total = sum(p for _, p, _ in clean)
-    if np.linalg.norm(total - np.eye(d_a)) > RESIDUAL_TOL * np.sqrt(d_a):
+    if not np.linalg.norm(total - np.eye(d_a)) <= RESIDUAL_TOL * np.sqrt(d_a):
         raise NumericsError("sector projectors do not resolve the identity")
     for x in range(len(clean)):
         for y in range(x + 1, len(clean)):
-            if np.linalg.norm(clean[x][1] @ clean[y][1]) > RESIDUAL_TOL * d_a:
+            if not (np.linalg.norm(clean[x][1] @ clean[y][1])
+                    <= RESIDUAL_TOL * d_a):
                 raise NumericsError("sector projectors are not orthogonal")
 
     rows = []

@@ -110,8 +110,8 @@ def _space_from_json(items, side) -> TensorSpace:
     if not isinstance(items, list):
         raise InputError(f"{side} legs must be a list")
     try:
-        factors = tuple((str(it["label"]), int(it["dim"])) for it in items)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        factors = tuple((str(it["label"]), it["dim"]) for it in items)
+    except (KeyError, TypeError) as exc:
         raise InputError(f"each {side} leg needs a 'label' and an integer "
                          f"'dim' ({exc!r})") from exc
     return TensorSpace(factors)

@@ -26,7 +26,7 @@ from .causal import UnitaryChannel, matrix_from_cells, matrix_to_cells
 from .errors import InputError
 from .lattice import (ConceptLattice, build_concept_lattice, shape_from_json,
                       shape_to_json)
-from .tensorspace import DIM_CAP, TensorSpace, dagger, haar_unitary
+from .tensorspace import DIM_CAP, TensorSpace, as_dim, dagger, haar_unitary
 
 GATE_UNITARITY_TOL = 1e-9
 # Intermediate contraction frames may exceed the channel cap when gates
@@ -92,9 +92,7 @@ class Circuit:
             edge = tuple(key)
             if edge not in covers:
                 raise InputError(f"wire {edge} is not a cover edge")
-            if int(d) < 1:
-                raise InputError(f"wire {edge} has dimension {d}")
-            wire_dims[edge] = int(d)
+            wire_dims[edge] = as_dim(d, f"wire {edge}")
         missing = covers - set(wire_dims)
         if missing:
             raise InputError(f"missing wire dims for {sorted(missing)}")
@@ -180,9 +178,7 @@ def _leg_dim_map(dims, labels, side) -> dict:
     for label in labels:
         if label not in dims:
             raise InputError(f"missing {side} dim for {label!r}")
-        if int(dims[label]) < 1:
-            raise InputError(f"{side} leg {label!r} has dim {dims[label]}")
-        out[label] = int(dims[label])
+        out[label] = as_dim(dims[label], f"{side} leg {label!r}")
     extra = set(dims) - set(out)
     if extra:
         raise InputError(f"dims given for unknown {side} legs {sorted(extra)}")
@@ -325,7 +321,7 @@ def random_circuit_unitary(G, wire_dims=None, leg_dims=None, seed: int = 0):
             out_dims = {b: leg_dims[b] for b in shape.outputs}
         except KeyError as exc:
             raise InputError(f"leg_dims missing {exc.args[0]!r}") from exc
-        wire_dims = {tuple(k): int(d) for k, d in wire_dims.items()}
+        wire_dims = {tuple(k): d for k, d in wire_dims.items()}
     else:
         raise InputError("supply both wire_dims and leg_dims, or neither")
     rng = np.random.default_rng(seed)
@@ -348,10 +344,10 @@ def _shape_of(shape, v, wire_dims, in_dims, out_dims):
     def dim(leg):
         kind, key = leg
         if kind == "in":
-            return int(in_dims[key])
+            return as_dim(in_dims[key], f"input leg {key!r}")
         if kind == "out":
-            return int(out_dims[key])
-        return int(wire_dims[tuple(key)])
+            return as_dim(out_dims[key], f"output leg {key!r}")
+        return as_dim(wire_dims[tuple(key)], f"wire {tuple(key)}")
 
     din = math.prod(dim(l) for l in node_input_legs(shape, v))
     dout = math.prod(dim(l) for l in node_output_legs(shape, v))
@@ -392,7 +388,7 @@ def circuit_from_json(data) -> Circuit:
     for key, d in data["wire_dims"].items():
         try:
             u, v = key.split("->")
-            wire_dims[(int(u), int(v))] = int(d)
+            wire_dims[(int(u), int(v))] = d
         except (ValueError, AttributeError) as exc:
             raise InputError(f"bad wire key {key!r}") from exc
     in_dims = dict(data["in_dims"])

@@ -27,6 +27,21 @@ def _as_complex(mat) -> np.ndarray:
     return np.asarray(mat, dtype=complex)
 
 
+def as_dim(value, what: str) -> int:
+    """``value`` as a dimension: a positive integer, given as an integer
+    or an integral float.  Bools, strings and fractions raise InputError
+    rather than being truncated."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
+        raise InputError(f"{what} dimension must be a positive integer, "
+                         f"got {value!r}")
+    d = int(value)
+    if d < 1:
+        raise InputError(f"{what} has dimension {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class TensorSpace:
     """Ordered sequence of labeled factors, e.g. (("a1", 2), ("a2", 3))."""
@@ -34,14 +49,12 @@ class TensorSpace:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        factors = tuple((str(l), int(d)) for l, d in self.factors)
+        factors = tuple((str(l), as_dim(d, f"factor {l!r}"))
+                        for l, d in self.factors)
         object.__setattr__(self, "factors", factors)
         labels = [l for l, _ in factors]
         if len(set(labels)) != len(labels):
             raise InputError(f"duplicate factor labels: {labels}")
-        for l, d in factors:
-            if d < 1:
-                raise InputError(f"factor {l!r} has dimension {d}")
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -9,7 +9,7 @@ solver itself.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from causaldeco.algebra import (
     LemmaSplit,
@@ -329,6 +329,13 @@ def test_reduce_onto_legs():
     assert red2.dim == 2
     assert red2.contains(np.diag([1.0, -1.0]))
     assert not red2.contains(SX)
+    # |0><0| x Z + |1><1| x X: the Schmidt factors span {1, Z, X} only,
+    # and their products complete it to all of M2 on x
+    p0 = np.diag([1.0, 0.0])
+    sectors = algebra_closure(amb, [np.kron(p0, SZ),
+                                    np.kron(np.eye(2) - p0, SX)])
+    assert sectors.dim == 4
+    assert reduce_onto_legs(sectors, ["x"]).dim == 4
 
 
 def _diagonal_pair_setup():
@@ -478,3 +485,68 @@ def test_block_algebra_properties(blocks, out_dims, betas, seed):
     assert np.abs(v.conj() @ v.T - np.eye(img.dim)).max() <= 1e-12
     for e in matrix_units(d_beta):
         assert img.contains(U.heisenberg(outs.embed(e, betas)))
+
+
+@st.composite
+def leg_algebras(draw):
+    """Ambient legs of dims 2-3 and maybe one of dim 1, a target in any
+    order, and generators that are tensor products of per-leg factors:
+    the identity, a fixed projector of the leg or its complement, a
+    generic element of a freshly rotated diagonal algebra, or a generic
+    matrix.  Half the cases are P x A1 + (1 - P) x A2 with P on the rest
+    legs: the Schmidt factors span A1 + A2, which only the closure
+    completes."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2,
+                         max_size=3).filter(lambda ds: np.prod(ds) <= 16))
+    if draw(st.booleans()):
+        dims.insert(draw(st.integers(0, len(dims))), 1)
+    labels = [f"l{i}" for i in range(len(dims))]
+    order = draw(st.permutations(labels))
+    target = order[:draw(st.integers(1, len(labels)))]
+    if draw(st.booleans()):
+        kinds = [["diag" if l in target else side for l in labels]
+                 for side in ("proj", "co")]
+    else:
+        kinds = draw(st.lists(
+            st.lists(st.sampled_from(["diag", "proj", "co", "full", "one"]),
+                     min_size=len(dims), max_size=len(dims)),
+            min_size=1, max_size=3))
+    return dims, labels, target, kinds, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(case=leg_algebras())
+def test_reduction_is_double_commutant_of_schmidt_factors(case):
+    dims, labels, target, kinds, seed = case
+    amb = space(*zip(labels, dims))
+    target_space = amb.subspace(target)
+    assume(target_space.total_dim <= 8)
+    rng = np.random.default_rng(seed)
+    projs = [np.diag(np.arange(d) < max(1, d // 2)) for d in dims]
+    gens = []
+    for per_leg in kinds:
+        g = np.eye(1)
+        for d, proj, kind in zip(dims, projs, per_leg):
+            if kind == "one":
+                f = np.eye(d)
+            elif kind == "proj":
+                f = proj
+            elif kind == "co":
+                f = np.eye(d) - proj
+            elif kind == "diag":
+                u = haar_unitary(d, rng)
+                f = u @ np.diag(rng.standard_normal(d)) @ dagger(u)
+            else:
+                f = rng.standard_normal((d, d)) \
+                    + 1j * rng.standard_normal((d, d))
+            g = np.kron(g, f)
+        gens.append(g)
+    B = algebra_closure(amb, gens)
+    # the former route: the commutant of the Schmidt factors, twice
+    rest = [l for l in labels if l not in target]
+    ys = [y for b in B.basis for y in amb.schmidt_right_factors(b, rest)]
+    p = amb.subspace([l for l in labels if l in target]) \
+        .permutation_to(target)
+    oracle = commutant(commutant_of([p @ y @ p.T for y in ys],
+                                    target_space))
+    assert reduce_onto_legs(B, target).same_span(oracle)

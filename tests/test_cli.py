@@ -173,6 +173,19 @@ def test_analyze_malformed_unitary_exits_2(tmp_path, capsys, field, value):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("dim", [2.7, True, "2"])
+def test_analyze_non_integer_dim_exits_2(tmp_path, capsys, dim):
+    # a truncating int() would read 2.7 as 2 and "2" as 2
+    doc = json.loads(unitary_to_json(u3()))
+    doc["in"][0]["dim"] = dim
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a positive integer" in captured.err
+
+
 def test_out_of_memory_exits_3(capsys, monkeypatch, u3_file):
     import causaldeco.cli
 
@@ -287,6 +300,26 @@ def test_verify_non_finite_gate_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("key, value", [("wire_dims", 2.5),
+                                        ("in_dims", True),
+                                        ("out_dims", "2")])
+def test_verify_non_integer_dim_exits_2(tmp_path, capsys, key, value):
+    G = chain2_relation()
+    rel = write_relation(tmp_path / "chain2.json", G)
+    _, U = random_circuit_unitary(G, seed=3)
+    uf = write_unitary(tmp_path / "u.json", U)
+    cf = tmp_path / "circ.json"
+    assert main(["decompose", uf, rel, "--out", str(cf)]) == 0
+    doc = json.loads(cf.read_text())
+    doc[key][next(iter(doc[key]))] = value
+    cf.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", uf, str(cf), rel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a positive integer" in captured.err
 
 
 def test_decompose_pad_connectivity(tmp_path, capsys, u3_file, c3_file):

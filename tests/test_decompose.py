@@ -8,8 +8,8 @@ from causaldeco.causal import UnitaryChannel, causal_structure
 from causaldeco.circuits import Circuit, compose_matrix, random_circuit_unitary
 from causaldeco.decompose import DecompositionReport, decompose, \
     equal_up_to_global_phase, verify_decomposition
-from causaldeco.errors import InputError
-from causaldeco.gallery import u3
+from causaldeco.errors import InputError, NumericsError
+from causaldeco.gallery import build_counterexample, obstruction_witness, u3
 from causaldeco.lattice import build_concept_lattice
 from causaldeco.relations import Relation, c3_relation, fan_out_relation, \
     full_relation
@@ -197,6 +197,40 @@ def test_causal_structure_computed_once(monkeypatch):
     assert report.status == "Success" and report.faithful
     # one pass per output leg, each testing every input leg
     assert sorted(calls) == [("b1", ("a1", "a2")), ("b2", ("a1", "a2"))]
+
+
+def test_no_commutant_solve_on_the_pipeline(monkeypatch):
+    # reductions onto the local legs are closures, so neither synthesis
+    # nor the obstruction certificate solves for a commutant
+    import causaldeco.algebra
+    solve = causaldeco.algebra.commutant_of
+    calls = []
+
+    def counting(mats, ambient):
+        calls.append(ambient.total_dim)
+        return solve(mats, ambient)
+    monkeypatch.setattr(causaldeco.algebra, "commutant_of", counting)
+    for G in (fans_relation(), chain2_relation()):
+        _, ch = random_circuit_unitary(G, seed=7)
+        _, report = decompose(ch, G, seed=2)
+        assert report.status == "Success"
+    C3 = c3_relation()
+    deco = obstruction_witness(build_counterexample(C3, seed=0), C3)
+    assert deco.sectors == ((2, 2), (2, 2))
+    assert calls == []
+
+
+def test_nan_inclusion_residual_refuses(monkeypatch):
+    # a NaN among the wire residuals must refuse, wherever it sits
+    import sys
+    module = sys.modules["causaldeco.decompose"]
+    residuals = module._inclusion_residuals
+    monkeypatch.setattr(module, "_inclusion_residuals",
+                        lambda *args: residuals(*args) + [float("nan")])
+    G = chain2_relation()
+    _, ch = random_circuit_unitary(G, seed=3)
+    with pytest.raises(NumericsError, match="leaks outside its image"):
+        decompose(ch, G)
 
 
 @pytest.mark.parametrize("legs", [{"a1": 3, "b1": 1, "b2": 3, "b3": 1},

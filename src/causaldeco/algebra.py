@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .tensorspace import DIM_CAP, TensorSpace, dagger
+from .tensorspace import TensorSpace, dagger
 
 SVD_RANK_REL = 1e-9
 COMM_REL_TOL = 1e-9

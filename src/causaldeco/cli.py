@@ -31,6 +31,11 @@ def _dump(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def _witness_line(witness) -> str:
+    return "witness: " + " ".join(
+        f"{k}={v}" for k, v in witness.as_dict().items())
+
+
 def cmd_lattice(args) -> int:
     G = load_relation(args.relation)
     shape = build_concept_lattice(G)
@@ -63,15 +68,13 @@ def cmd_check(args) -> int:
             print(f"parent-overlap identity checked at {triples} "
                   "branching triples")
         return 0
-    w = res.witness.as_dict()
     if args.json:
         ev = lat.evidence
-        print(_dump({"satisfied": False, "witness": w,
+        print(_dump({"satisfied": False, "witness": res.witness.as_dict(),
                      "path_evidence": list(ev) if ev else None}))
     else:
         print("Violated")
-        print("witness: " + " ".join(
-            f"{k}={w[k]}" for k in ("a1", "a2", "a3", "b1", "b2", "b3")))
+        print(_witness_line(res.witness))
         if lat.evidence:
             a, b, k = lat.evidence
             print(f"pair ({a}, {b}) is joined by {k} cover paths")
@@ -164,9 +167,7 @@ def _print_report(report, as_json, padded=None, out=None):
             f"({a}, {b})" for a, b in padded))
     print(f"status: {report.status}")
     if report.witness is not None:
-        w = report.witness.as_dict()
-        print("witness: " + " ".join(
-            f"{k}={w[k]}" for k in ("a1", "a2", "a3", "b1", "b2", "b3")))
+        print(_witness_line(report.witness))
     if report.extra_pair is not None:
         a, b = report.extra_pair
         print(f"influence outside the relation: {a} -> {b}")
@@ -221,13 +222,12 @@ def cmd_roundtrip(args) -> int:
     G = load_relation(args.relation)
     res = check_c3ep(G)
     if res.violated:
-        w = res.witness.as_dict()
         if args.json:
-            print(_dump({"status": "RefusedC3EP", "witness": w}))
+            print(_dump({"status": "RefusedC3EP",
+                         "witness": res.witness.as_dict()}))
         else:
             print("refused: relation violates the exclusion property")
-            print("witness: " + " ".join(
-                f"{k}={w[k]}" for k in ("a1", "a2", "a3", "b1", "b2", "b3")))
+            print(_witness_line(res.witness))
         return 1
     shape = build_concept_lattice(G)
     kwargs = {}

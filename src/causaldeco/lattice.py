@@ -9,23 +9,28 @@ shape") whose connectivity is exactly the relation: input a feeds a gate
 at lambda(a), output b leaves the gate at mu(b), and a reaches b along
 cover chains precisely when lambda(a) <= mu(b).
 
+The lattice is built directly: closed sets in one pass per output, and
+the upper covers of a node as the minimal closures of alpha plus one
+input.  Its size is capped in concepts, not labels (MAX_CONCEPTS).
+
 Node identity is the sorted alpha tuple; nodes are listed sorted by
 (|alpha|, alpha), which is also a linear extension of the order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .relations import Relation, common_children, closure_inputs, parents
+from .relations import Relation, children, parents
 
-# Enumerating closed sets walks pairwise intersections; fine up to about
-# ten labels per side, guarded here.
-MAX_SIDE = 12
+# Most concepts a lattice may have.  A relation with at most 12 labels on
+# a side has at most 2^12 concepts, so all of those fit.
+MAX_CONCEPTS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,19 +64,23 @@ class ConceptLattice:
         self.covers = tuple(tuple(c) for c in covers)
         self.lam = dict(lam)
         self.mu = dict(mu)
+        n = len(self.nodes)
+        self._up, self._down = [[] for _ in range(n)], [[] for _ in range(n)]
+        for i, j in sorted(self.covers):
+            if not (0 <= i < n and 0 <= j < n):
+                raise InputError(f"cover ({i},{j}) out of range")
+            self._up[i].append(j)
+            self._down[j].append(i)
         self._leq = self._compute_leq()
         self._validate()
 
     def _compute_leq(self) -> np.ndarray:
-        n = len(self.nodes)
-        leq = np.eye(n, dtype=bool)
+        leq = np.eye(len(self.nodes), dtype=bool)
         for i, j in self.covers:
             leq[i, j] = True
-        # Floyd-Warshall style closure; n stays small.
-        for k in range(n):
-            for i in range(n):
-                if leq[i, k]:
-                    leq[i] |= leq[k]
+        # Warshall: whatever lies below k also lies below all above k
+        for k in range(len(self.nodes)):
+            leq[leq[:, k]] |= leq[k]
         return leq
 
     def _validate(self):
@@ -79,8 +88,6 @@ class ConceptLattice:
         if len({node.alpha for node in self.nodes}) != n:
             raise InputError("duplicate node alpha sets")
         for i, j in self.covers:
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"cover ({i},{j}) out of range")
             if i == j or self._leq[j, i]:
                 raise InputError(f"cover ({i},{j}) violates the order")
         for a in self.inputs:
@@ -99,24 +106,22 @@ class ConceptLattice:
         return bool(self._leq[i, j])
 
     def bottom(self) -> int:
-        mins = [i for i in range(len(self.nodes))
-                if all(self._leq[i, j] for j in range(len(self.nodes)))]
+        mins = np.flatnonzero(self._leq.all(axis=1))
         if len(mins) != 1:
             raise InputError("shape has no unique bottom node")
-        return mins[0]
+        return int(mins[0])
 
     def top(self) -> int:
-        maxs = [j for j in range(len(self.nodes))
-                if all(self._leq[i, j] for i in range(len(self.nodes)))]
+        maxs = np.flatnonzero(self._leq.all(axis=0))
         if len(maxs) != 1:
             raise InputError("shape has no unique top node")
-        return maxs[0]
+        return int(maxs[0])
 
     def up_covers(self, i: int) -> list[int]:
-        return sorted(j for x, j in self.covers if x == i)
+        return list(self._up[i])
 
     def down_covers(self, j: int) -> list[int]:
-        return sorted(i for i, x in self.covers if x == j)
+        return list(self._down[j])
 
     def inputs_at(self, i: int) -> list[str]:
         return sorted(a for a in self.inputs if self.lam[a] == i)
@@ -135,7 +140,7 @@ class ConceptLattice:
                                                 self.nodes[i].alpha, i))
         seen = set()
         for i in order:
-            for d in self.down_covers(i):
+            for d in self._down[i]:
                 if d not in seen:
                     raise InputError("cover DAG is not acyclic")
             seen.add(i)
@@ -147,68 +152,65 @@ class ConceptLattice:
 def enumerate_closed_input_sets(G: Relation) -> list[frozenset[str]]:
     """All closed input sets, sorted by (size, sorted labels).
 
-    Closed sets are the intersection closure of the full input set
-    together with all single-output parent sets.  Walks pairwise
-    intersections to a fixed point; intended for small relations (about
-    ten labels per side at most).
+    They are the intersections of families of single-output parent sets
+    (the empty family gives all inputs), found in one pass per output.
+    Raises InputError beyond MAX_CONCEPTS closed sets.
     """
-    if len(G.inputs) > MAX_SIDE or len(G.outputs) > MAX_SIDE:
-        raise InputError(
-            f"relation too large for closed-set enumeration "
-            f"({len(G.inputs)}x{len(G.outputs)}, limit {MAX_SIDE} per side)")
     closed = {frozenset(G.inputs)}
     for b in G.outputs:
-        closed.add(parents(G, b))
-    while True:
-        new = set()
-        for s in closed:
-            for t in closed:
-                inter = s & t
-                if inter not in closed:
-                    new.add(inter)
-        if not new:
-            break
-        closed |= new
+        pb = parents(G, b)
+        closed |= {s & pb for s in closed}
+        if len(closed) > MAX_CONCEPTS:
+            raise InputError(
+                f"relation {len(G.inputs)}x{len(G.outputs)} has more than "
+                f"{MAX_CONCEPTS} concepts")
     return sorted(closed, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def build_concept_lattice(G: Relation) -> ConceptLattice:
-    """Concept lattice of a relation, with covers, lambda and mu."""
+    """Concept lattice of a relation, with covers, lambda and mu.
+
+    The upper covers of a node are the minimal closures of alpha plus one
+    input outside alpha; closures, lambda and mu are looked up by alpha.
+    """
     closed = enumerate_closed_input_sets(G)
-    nodes = []
-    for alpha in closed:
-        beta = common_children(G, alpha)
+    index = {alpha: k for k, alpha in enumerate(closed)}
+    ch = {a: children(G, a) for a in G.inputs}
+    par = {b: parents(G, b) for b in G.outputs}
+    all_in, all_out = frozenset(G.inputs), frozenset(G.outputs)
+
+    def extent(beta):
+        return all_in.intersection(*(par[b] for b in beta))
+
+    nodes, covers = [], []
+    for k, alpha in enumerate(closed):
+        beta = all_out.intersection(*(ch[a] for a in alpha))
         nodes.append(ConceptNode(tuple(sorted(alpha)), tuple(sorted(beta))))
-    n = len(nodes)
-    sets = [frozenset(nd.alpha) for nd in nodes]
-    strictly_below = [[i for i in range(n)
-                       if sets[i] < sets[j]] for j in range(n)]
-    covers = []
-    for j in range(n):
-        for i in strictly_below[j]:
-            if not any(sets[i] < sets[m] and sets[m] < sets[j]
-                       for m in strictly_below[j]):
-                covers.append((i, j))
-    lam = {}
-    for a in G.inputs:
-        alpha = tuple(sorted(closure_inputs(G, {a})))
-        lam[a] = [k for k, nd in enumerate(nodes) if nd.alpha == alpha][0]
-    mu = {}
-    for b in G.outputs:
-        alpha = tuple(sorted(parents(G, b)))
-        mu[b] = [k for k, nd in enumerate(nodes) if nd.alpha == alpha][0]
+        ups = {extent(beta & ch[a]) for a in G.inputs if a not in alpha}
+        covers += [(k, index[u]) for u in ups if not any(v < u for v in ups)]
+    covers.sort()
+    lam = {a: index[extent(ch[a])] for a in G.inputs}
+    mu = {b: index[par[b]] for b in G.outputs}
     return ConceptLattice(G.inputs, G.outputs, nodes, covers, lam, mu)
 
 
 def connectivity(shape: ConceptLattice) -> Relation:
     """The relation realized by the shape: a reaches b iff there is a
     cover chain from lambda(a) up to mu(b)."""
-    pairs = set()
-    for a in shape.inputs:
-        for b in shape.outputs:
-            if shape.leq(shape.lam[a], shape.mu[b]):
-                pairs.add((a, b))
+    pairs = {(a, b) for a in shape.inputs for b in shape.outputs
+             if shape.leq(shape.lam[a], shape.mu[b])}
     return Relation(shape.inputs, shape.outputs, frozenset(pairs))
+
+
+def _path_counts(shape: ConceptLattice, src: int, order) -> list[int]:
+    """Number of cover-edge paths from node ``src`` to every node, with
+    ``order`` a linear extension of the shape."""
+    counts = [0] * len(shape.nodes)
+    counts[src] = 1
+    for i in order:
+        if i != src:
+            counts[i] = sum(counts[d] for d in shape._down[i])
+    return counts
 
 
 def count_paths(shape: ConceptLattice, a: str, b: str) -> int:
@@ -217,13 +219,8 @@ def count_paths(shape: ConceptLattice, a: str, b: str) -> int:
         raise InputError(f"unknown input {a!r}")
     if b not in shape.mu:
         raise InputError(f"unknown output {b!r}")
-    src, dst = shape.lam[a], shape.mu[b]
-    counts = {src: 1}
-    for i in shape.linear_extension():
-        if i == src:
-            continue
-        counts[i] = sum(counts.get(d, 0) for d in shape.down_covers(i))
-    return counts.get(dst, 0)
+    counts = _path_counts(shape, shape.lam[a], shape.linear_extension())
+    return counts[shape.mu[b]]
 
 
 @dataclass(frozen=True)
@@ -233,19 +230,20 @@ class LatticeC3Result:
     evidence: tuple[str, str, int] | None = None
 
 
+def _branching_pairs(shape: ConceptLattice):
+    """(v, w, w') for every node v with nonempty alpha and every two
+    distinct upper covers w < w' of v."""
+    for v, nd in enumerate(shape.nodes):
+        if nd.alpha:
+            for w, x in itertools.combinations(shape._up[v], 2):
+                yield v, w, x
+
+
 def _covers_disjoint(shape: ConceptLattice) -> bool:
     """Characterization (iv): at every node with nonempty alpha, distinct
     upper covers have disjoint beta sets."""
-    for i, nd in enumerate(shape.nodes):
-        if not nd.alpha:
-            continue
-        ups = shape.up_covers(i)
-        for x in range(len(ups)):
-            for y in range(x + 1, len(ups)):
-                if set(shape.nodes[ups[x]].beta) \
-                        & set(shape.nodes[ups[y]].beta):
-                    return False
-    return True
+    return not any(set(shape.nodes[w].beta) & set(shape.nodes[x].beta)
+                   for _, w, x in _branching_pairs(shape))
 
 
 def check_c3ep_lattice(shape: ConceptLattice) -> LatticeC3Result:
@@ -257,15 +255,12 @@ def check_c3ep_lattice(shape: ConceptLattice) -> LatticeC3Result:
     are provably equivalent, so disagreement raises NumericsError.
     Comparing with the relational route is the caller's job.
     """
-    evidence = None
-    for a in sorted(shape.inputs):
-        for b in sorted(shape.outputs):
-            k = count_paths(shape, a, b)
-            if k > 1:
-                evidence = (a, b, k)
-                break
-        if evidence:
-            break
+    order = shape.linear_extension()
+    paths = {a: _path_counts(shape, shape.lam[a], order) for a in shape.inputs}
+    evidence = next(((a, b, paths[a][shape.mu[b]])
+                     for a in sorted(shape.inputs)
+                     for b in sorted(shape.outputs)
+                     if paths[a][shape.mu[b]] > 1), None)
     multiplicity_ok = evidence is None
     disjoint_ok = _covers_disjoint(shape)
     if multiplicity_ok != disjoint_ok:
@@ -293,20 +288,15 @@ def overlap_lemma_check(shape: ConceptLattice) -> int:
             "overlap lemma applies only to relations with the C3 "
             "exclusion property")
     checked = 0
-    for i, nd in enumerate(shape.nodes):
-        if not nd.alpha:
-            continue
-        ups = shape.up_covers(i)
-        for x in range(len(ups)):
-            for y in range(x + 1, len(ups)):
-                pa = [set().union(*(shape.nodes[shape.mu[b]].alpha
-                                    for b in shape.nodes[w].beta))
-                      for w in (ups[x], ups[y])]
-                if pa[0] & pa[1] != set(nd.alpha):
-                    raise NumericsError(
-                        f"overlap identity fails at alpha={nd.alpha}: "
-                        f"{sorted(pa[0] & pa[1])} != {list(nd.alpha)}")
-                checked += 1
+    for v, w, x in _branching_pairs(shape):
+        alpha = shape.nodes[v].alpha
+        pa = [set().union(*(shape.nodes[shape.mu[b]].alpha
+                            for b in shape.nodes[u].beta)) for u in (w, x)]
+        if pa[0] & pa[1] != set(alpha):
+            raise NumericsError(
+                f"overlap identity fails at alpha={alpha}: "
+                f"{sorted(pa[0] & pa[1])} != {list(alpha)}")
+        checked += 1
     return checked
 
 

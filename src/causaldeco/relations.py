@@ -13,8 +13,9 @@ overlapping pair:
 
 A relation has the C3 exclusion property when no restriction to three
 inputs and three outputs equals that pattern (in the stated roles).
-``check_c3ep`` decides this twice, by brute-force pattern scan and by an
-intersection criterion, and insists the answers agree.
+``check_c3ep`` decides this twice, by a scan that builds the first
+witness directly and by an intersection criterion on parent sets, and
+insists the answers agree.
 """
 
 from __future__ import annotations
@@ -155,20 +156,26 @@ def restrict(G: Relation, sub_inputs, sub_outputs) -> Relation:
 
 # -- C3 exclusion --------------------------------------------------------
 
-def _matches_pattern(G: Relation, a1, a2, a3, b1, b2, b3) -> bool:
-    p = G.pairs
-    return ((a1, b1) in p and (a1, b2) in p and (a1, b3) not in p
-            and (a2, b1) in p and (a2, b2) in p and (a2, b3) in p
-            and (a3, b1) not in p and (a3, b2) in p and (a3, b3) in p)
-
-
 def _scan_for_pattern(G: Relation) -> C3Witness | None:
-    """First witness in lexicographic scan order over sorted labels."""
-    ins = sorted(G.inputs)
-    outs = sorted(G.outputs)
-    for a1, a2, a3 in itertools.permutations(ins, 3):
-        for b1, b2, b3 in itertools.permutations(outs, 3):
-            if _matches_pattern(G, a1, a2, a3, b1, b2, b3):
+    """First witness in lexicographic order over sorted labels.
+
+    Given (a1, a2, a3), roles b1, b2, b3 range over the disjoint sets
+    ch(a1)&ch(a2)-ch(a3), ch(a1)&ch(a2)&ch(a3) and ch(a2)&ch(a3)-ch(a1),
+    so the first output triple is their three minima.  Child sets are
+    bit masks over the sorted outputs.
+    """
+    ins, outs = sorted(G.inputs), sorted(G.outputs)
+    ch = {a: sum(1 << k for k, b in enumerate(outs) if (a, b) in G.pairs)
+          for a in ins}
+    for a1, a2 in itertools.permutations(ins, 2):
+        both, only2 = ch[a1] & ch[a2], ch[a2] & ~ch[a1]
+        if not (both and only2):
+            continue
+        for a3 in ins:  # a3 equal to a1 or a2 leaves a role empty
+            roles = (both & ~ch[a3], both & ch[a3], only2 & ch[a3])
+            if all(roles):
+                # the lowest set bit of a mask is its first label
+                b1, b2, b3 = (outs[(r & -r).bit_length() - 1] for r in roles)
                 return C3Witness(a1, a2, a3, b1, b2, b3)
     return None
 
@@ -177,11 +184,11 @@ def _intersection_criterion_ok(G: Relation) -> bool:
     """Equivalent test: for every output triple sharing a middle element,
     the parent sets of the two overlapping pairs are disjoint or nested."""
     outs = sorted(G.outputs)
+    par = {b: parents(G, b) for b in outs}
     for b2 in outs:
-        others = [b for b in outs if b != b2]
-        for b1, b3 in itertools.combinations(others, 2):
-            p = common_parents(G, {b1, b2})
-            q = common_parents(G, {b2, b3})
+        # common parents of {b, b2} for every other output b, in label order
+        shared = [par[b] & par[b2] for b in outs if b != b2]
+        for p, q in itertools.combinations(shared, 2):
             if p & q and not (p <= q or q <= p):
                 return False
     return True
@@ -190,10 +197,10 @@ def _intersection_criterion_ok(G: Relation) -> bool:
 def check_c3ep(G: Relation) -> C3Result:
     """Decide the C3 exclusion property.
 
-    Runs both the brute-force 3x3 restriction scan and the intersection
-    criterion and raises NumericsError if they disagree (they are
-    provably equivalent, so disagreement is a bug).  On violation the
-    witness is the first one in lexicographic scan order.
+    Runs both the restriction scan and the intersection criterion and
+    raises NumericsError if they disagree (they are provably equivalent,
+    so disagreement is a bug).  On violation the witness is the first
+    restriction in lexicographic order of (a1, a2, a3, b1, b2, b3).
     """
     witness = _scan_for_pattern(G)
     ok_scan = witness is None

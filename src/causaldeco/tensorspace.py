@@ -144,12 +144,12 @@ class TensorSpace:
         m4 = m.reshape(dk, dr, dk, dr)
         return np.einsum("irjr->ij", m4)
 
-    def restrict(self, mat, labels, rel_tol=1e-8):
+    def restrict(self, mat, labels):
         """Write ``mat`` as (small op on ``labels``) tensor identity.
 
         Returns (small, residual) where residual is the relative Frobenius
-        distance between ``mat`` and the factored form.  A residual above
-        ``rel_tol`` means the operator is not supported on those legs.
+        distance between ``mat`` and the factored form; callers decide
+        what residual counts as supported.
         """
         mat = _as_complex(mat)
         dk = 1
@@ -165,7 +165,7 @@ class TensorSpace:
         return small, residual
 
     def is_supported_on(self, mat, labels, rel_tol=1e-8) -> bool:
-        _, residual = self.restrict(mat, labels, rel_tol)
+        _, residual = self.restrict(mat, labels)
         return residual <= rel_tol
 
     # -- operator Schmidt ------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,20 @@ from causaldeco.causal import (UnitaryChannel, load_unitary, unitary_to_json)
 from causaldeco.circuits import load_circuit, random_circuit_unitary
 from causaldeco.cli import main
 from causaldeco.gallery import u3
+from causaldeco.lattice import connectivity, shape_from_json
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
                                   full_relation, overlapping_fans_relation,
                                   relation_to_json, swap_relation)
 from causaldeco.tensorspace import TensorSpace
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def source_env() -> dict:
+    """Environment that imports causaldeco from this checkout's src."""
+    pythonpath = filter(None, [str(REPO_ROOT / "src"),
+                               os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
 
 
 def write_relation(path, G):
@@ -132,6 +143,40 @@ def test_check_json_witness(capsys, c3_file):
     assert data["satisfied"] is False
     assert data["witness"] == {"a1": "a1", "a2": "a2", "a3": "a3",
                                "b1": "b1", "b2": "b2", "b3": "b3"}
+
+
+def test_screening_at_64_labels(tmp_path):
+    # A staircase a_i -> {b_0..b_i} satisfies the exclusion property.
+    n = 64
+    ins = tuple(f"a{i:02d}" for i in range(n))
+    outs = tuple(f"b{j:02d}" for j in range(n))
+    stair = Relation(ins, outs, frozenset(
+        (ins[i], outs[j]) for i in range(n) for j in range(i + 1)))
+    # Laminar: output j is reached by a dyadic block of the inputs.
+    blocks = [ins[k * size:(k + 1) * size] for size in (64, 32, 16, 8, 4, 2)
+              for k in range(n // size)]
+    laminar = Relation(ins, outs, frozenset(
+        (a, b) for j, b in enumerate(outs) for a in blocks[j % len(blocks)]))
+    stair_file = write_relation(tmp_path / "stair.json", stair)
+    laminar_file = write_relation(tmp_path / "laminar.json", laminar)
+    # Each command runs in its own process under the wall budget, so a
+    # return to testing every 3x3 restriction (hours at this size) fails
+    # on the timeout instead of stalling the suite.
+    budget = 30
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "causaldeco.cli", *argv],
+                              capture_output=True, text=True,
+                              env=source_env(), timeout=budget)
+    t0 = time.monotonic()
+    proc = run("check", stair_file, "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["satisfied"] is True
+    proc = run("lattice", laminar_file, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    elapsed = time.monotonic() - t0
+    assert connectivity(shape_from_json(proc.stdout)).same_pairs(laminar)
+    assert elapsed < budget, f"64-label screening took {elapsed:.1f}s"
 
 
 # -- analyze -------------------------------------------------------------
@@ -444,8 +489,6 @@ def test_output_deterministic(tmp_path, capsys, u3_file):
     assert capsys.readouterr().out == first
 
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
 # The wrapper pip writes for a ``[project.scripts]`` entry
 # ``name = "module:func"`` (distlib's SCRIPT_TEMPLATE).
 CONSOLE_SCRIPT_TEMPLATE = """\
@@ -469,11 +512,8 @@ def test_console_script_installed(tmp_path, c3_file):
     script = tmp_path / "causaldeco"
     script.write_text(CONSOLE_SCRIPT_TEMPLATE.format(
         module=module, import_name=func.split(".")[0], func=func))
-    pythonpath = filter(None, [str(REPO_ROOT / "src"),
-                               os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
     proc = subprocess.run([sys.executable, str(script), "check", c3_file],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=source_env(),
                           timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "Violated" in proc.stdout

@@ -5,17 +5,23 @@ sets, close them under intersection, and read off covers and the
 attachment maps.
 """
 
-import pytest
+import itertools
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from causaldeco.cli import main
 from causaldeco.errors import InputError
-from causaldeco.lattice import (build_concept_lattice, check_c3ep_lattice,
-                                connectivity, count_paths,
+from causaldeco.lattice import (MAX_CONCEPTS, build_concept_lattice,
+                                check_c3ep_lattice, connectivity, count_paths,
                                 enumerate_closed_input_sets,
                                 overlap_lemma_check, shape_from_json,
                                 shape_to_json, to_dot)
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
-                                  fan_in_relation, fan_out_relation,
-                                  overlapping_fans_relation, swap_relation)
+                                  closure_inputs, fan_in_relation,
+                                  fan_out_relation, overlapping_fans_relation,
+                                  relation_to_json, swap_relation)
 
 
 # Hand-derived closure of {1234, 12, 12, 234, 34, 4} under intersection.
@@ -147,7 +153,69 @@ def test_shape_json_round_trip():
         shape_from_json(bad)
 
 
-def test_closed_set_guard():
-    big = Relation(tuple(f"a{i}" for i in range(13)), ("b",), frozenset())
+def _contranominal(n):
+    """a_i reaches every b_j with j != i: every input set is closed, so
+    the lattice has 2^n concepts."""
+    ins = tuple(f"a{i:02d}" for i in range(n))
+    outs = tuple(f"b{i:02d}" for i in range(n))
+    return Relation(ins, outs, frozenset(
+        (ins[i], outs[j]) for i in range(n) for j in range(n) if i != j))
+
+
+def test_concept_cap(tmp_path, capsys):
+    # 2^12 = MAX_CONCEPTS closed sets fit, 2^13 are refused
+    assert MAX_CONCEPTS == 4096
+    assert len(enumerate_closed_input_sets(_contranominal(12))) == 4096
+    big = _contranominal(13)
     with pytest.raises(InputError):
-        enumerate_closed_input_sets(big)
+        build_concept_lattice(big)
+    path = tmp_path / "contranominal13.json"
+    path.write_text(json.dumps(relation_to_json(big)))
+    assert main(["lattice", str(path)]) == 2
+    assert "more than 4096 concepts" in capsys.readouterr().err
+
+
+# -- properties on small relations ----------------------------------------
+
+@st.composite
+def small_relations(draw, max_side=6):
+    """Relations up to max_side labels a side, labels in shuffled order."""
+    n = draw(st.integers(1, max_side))
+    m = draw(st.integers(1, max_side))
+    ins = draw(st.permutations([f"a{i}" for i in range(n)]))
+    outs = draw(st.permutations([f"b{j}" for j in range(m)]))
+    cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    pairs = [(a, b) for (a, b), on in
+             zip(itertools.product(ins, outs), cells) if on]
+    return Relation(tuple(ins), tuple(outs), frozenset(pairs))
+
+
+PROPERTY = settings(max_examples=150, derandomize=True, deadline=None,
+                    database=None)
+
+
+@PROPERTY
+@given(G=small_relations())
+def test_closed_sets_are_all_closures(G):
+    every = {closure_inputs(G, S) for k in range(len(G.inputs) + 1)
+             for S in itertools.combinations(G.inputs, k)}
+    closed = enumerate_closed_input_sets(G)
+    assert len(closed) == len(set(closed))
+    assert set(closed) == every
+
+
+@PROPERTY
+@given(G=small_relations())
+def test_covers_are_the_hasse_diagram(G):
+    shape = build_concept_lattice(G)
+    sets = [frozenset(nd.alpha) for nd in shape.nodes]
+    hasse = {(i, j) for i, s in enumerate(sets) for j, t in enumerate(sets)
+             if s < t and not any(s < u < t for u in sets)}
+    assert set(shape.covers) == hasse
+    assert len(shape.covers) == len(hasse)
+
+
+@PROPERTY
+@given(G=small_relations())
+def test_connectivity_property(G):
+    assert connectivity(build_concept_lattice(G)).same_pairs(G)

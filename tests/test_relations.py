@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causaldeco.errors import InputError
 from causaldeco.relations import (C3Witness, Relation, c3_relation, chain2_relation,
@@ -121,6 +122,41 @@ def test_pattern_inside_larger_relation():
     assert res.violated
     w = res.witness
     assert (w.a1, w.a2, w.a3) == ("1", "2", "3")
+
+
+def _pattern_scan(G):
+    """Reference oracle: every ordered 3x3 restriction in lexicographic
+    order over sorted labels, tested role by role."""
+    p = G.pairs
+    for a1, a2, a3 in itertools.permutations(sorted(G.inputs), 3):
+        for b1, b2, b3 in itertools.permutations(sorted(G.outputs), 3):
+            if ((a1, b1) in p and (a1, b2) in p and (a1, b3) not in p
+                    and (a2, b1) in p and (a2, b2) in p and (a2, b3) in p
+                    and (a3, b1) not in p and (a3, b2) in p
+                    and (a3, b3) in p):
+                return C3Witness(a1, a2, a3, b1, b2, b3)
+    return None
+
+
+@st.composite
+def small_relations(draw, max_side=6):
+    """Relations up to max_side labels a side, labels in shuffled order."""
+    n = draw(st.integers(1, max_side))
+    m = draw(st.integers(1, max_side))
+    ins = draw(st.permutations([f"a{i}" for i in range(n)]))
+    outs = draw(st.permutations([f"b{j}" for j in range(m)]))
+    cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    pairs = [(a, b) for (a, b), on in
+             zip(itertools.product(ins, outs), cells) if on]
+    return Relation(tuple(ins), tuple(outs), frozenset(pairs))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(G=small_relations())
+def test_witness_equals_restriction_scan(G):
+    res = check_c3ep(G)
+    assert res.witness == _pattern_scan(G)
+    assert res.satisfied == (res.witness is None)
 
 
 def test_relation_validation():

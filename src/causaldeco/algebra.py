@@ -14,7 +14,16 @@ from matrices, and one null-space routine, which finds the elements of a
 span that commute with given test matrices.  Centres solve it on the
 algebra's own basis; commutants solve it on all D^2 matrix units, so
 they stay off the synthesis path: a reduction onto local legs is the
-closure of its Schmidt factors, not their double commutant.
+closure of its Schmidt factors, not their double commutant.  Minimal
+central projectors and the Wedderburn form of a factor both read one
+spectral decomposition of a generic element.
+
+The gate-splitting step has one path.  algebraic_lemma and sectorize
+share the layout, commutation and support checks and the reductions
+onto the shared legs; the lemma adds the factor test and always runs
+the sector split.  Its success is the one-sector case whose reduction
+dimensions multiply to d_a^2, the spanning condition read from
+integers, so no joint closure is formed.
 
 Determinism: every routine that draws random elements takes a seed and
 uses its own generator, so repeated runs give identical results.  The
@@ -35,6 +44,7 @@ raise NumericsError when violated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,42 +272,39 @@ def _random_hermitian(basis, rng) -> np.ndarray:
     return (h + dagger(h)) / 2.0
 
 
+def _spectral_projectors(S: MatrixSubalgebra, rng, count):
+    """Spectral projectors of a generic Hermitian element of S.
+
+    Takes the first of up to four draws whose clustered spectrum has
+    ``count`` clusters, each with its spectral projector inside S;
+    returns None when no draw does.
+    """
+    for _ in range(4):
+        vals, vecs = np.linalg.eigh(_random_hermitian(S.basis, rng))
+        clusters = _cluster_sorted(vals)
+        if len(clusters) != count:
+            continue
+        projs = [vecs[:, c] @ dagger(vecs[:, c]) for c in clusters]
+        if all(S.contains(p, RESIDUAL_TOL * 10) for p in projs):
+            return projs
+    return None
+
+
 def minimal_central_projectors(S: MatrixSubalgebra, seed=0):
     """Minimal projectors of the centre, via a generic central Hermitian.
 
-    Draws a random Hermitian central element, clusters its spectrum, and
-    accepts when the number of clusters equals the centre dimension (so
-    each spectral projector is a minimal central one).  Up to three
-    redraws; failure past that raises.
+    The spectral projectors of a generic central element are the minimal
+    central ones once there are as many as the centre's dimension.  Up
+    to three redraws; failure past that raises.
     """
     Z = centre(S)
-    d = S.ambient.total_dim
     if Z.dim == 1:
-        return [np.eye(d)]
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        h = _random_hermitian(Z.basis, rng)
-        vals, vecs = np.linalg.eigh(h)
-        clusters = _cluster_sorted(vals)
-        if len(clusters) != Z.dim:
-            continue
-        projs = []
-        ok = True
-        for cl in clusters:
-            v = vecs[:, cl]
-            p = v @ dagger(v)
-            if not Z.contains(p, RESIDUAL_TOL * 10):
-                ok = False
-                break
-            projs.append(p)
-        if not ok:
-            continue
-        total = sum(projs)
-        if not np.linalg.norm(total - np.eye(d)) <= RESIDUAL_TOL * np.sqrt(d):
-            continue
-        return projs
-    raise NumericsError(
-        "could not isolate minimal central projectors after 3 redraws")
+        return [np.eye(S.ambient.total_dim)]
+    projs = _spectral_projectors(Z, np.random.default_rng(seed), Z.dim)
+    if projs is None:
+        raise NumericsError(
+            "could not isolate minimal central projectors after 3 redraws")
+    return projs
 
 
 @dataclass
@@ -358,18 +365,9 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
     if d == 1:
         return UnitaryIso(np.eye(D), ambient, codomain), 1, D
     rng = np.random.default_rng(seed)
-
-    projs = None
-    for _ in range(4):
-        h = _random_hermitian(B.basis, rng)
-        vals, vecs = np.linalg.eigh(h)
-        clusters = _cluster_sorted(vals)
-        if len(clusters) != d or any(len(c) != m for c in clusters):
-            continue
-        cand = [vecs[:, c] @ dagger(vecs[:, c]) for c in clusters]
-        if all(B.contains(p, RESIDUAL_TOL * 10) for p in cand):
-            projs = cand
-            break
+    # projectors in M_d x 1_m have ranks divisible by m, so d of them
+    # that resolve the identity have rank m each
+    projs = _spectral_projectors(B, rng, d)
     if projs is None:
         raise NumericsError(
             "could not split a generic spectral decomposition into "
@@ -449,6 +447,10 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
     first n-1 legs have the dimensions of their factors; the last leg
     absorbs whatever multiplicity remains, so it contains (and under a
     spanning hypothesis equals) the image of B_n.
+
+    Factor-ness is not tested separately: factorize_factor's two-way
+    check proves each of B_1..B_{n-1} is a factor, and B_n only has to
+    sit on the last leg, which the leak checks verify.
     """
     bs = list(bs)
     if not bs:
@@ -459,9 +461,6 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
         if b.ambient.total_dim != ambient.total_dim:
             raise InputError("algebras live on different ambient dimensions")
     _check_pairwise_commuting(bs)
-    for i, b in enumerate(bs):
-        if not is_factor(b):
-            raise NumericsError(f"algebra {i} is not a factor")
     n = len(bs)
     if labels is None:
         labels = [f"z{i + 1}" for i in range(n)]
@@ -546,13 +545,7 @@ class SectorDecomposition:
 
     def __post_init__(self):
         d = self.a_space.total_dim
-        total = 0
-        for legs in self.sectors:
-            block = 1
-            for x in legs:
-                block *= x
-            total += block
-        if total != d:
+        if sum(math.prod(legs) for legs in self.sectors) != d:
             raise NumericsError(
                 f"sector dimensions {self.sectors} do not resolve the "
                 f"shared leg dimension {d}")
@@ -579,7 +572,15 @@ class LemmaSplit:
     leg_dims: tuple[int, ...]
 
 
-def _validate_leg_layout(a_labels, x_legs, bs):
+def _shared_leg_reductions(a_labels, x_legs, bs):
+    """The hypothesis checks sectorize and algebraic_lemma share, then
+    the reductions of the B_k onto the shared legs.
+
+    The B_k must live on one ambient whose labels include the shared
+    legs and the X legs, each X leg belonging to one algebra only; they
+    must commute pairwise, and each must be supported on the shared legs
+    plus its own X legs.  Returns the shared space and the reductions.
+    """
     if not bs:
         raise InputError("need at least one algebra")
     ambient = bs[0].ambient
@@ -601,18 +602,17 @@ def _validate_leg_layout(a_labels, x_legs, bs):
             if l in seen:
                 raise InputError(f"X leg {l!r} assigned to two algebras")
             seen.add(l)
-    return ambient, a_labels
-
-
-def _check_support(ambient, a_labels, x_legs, bs):
+    _check_pairwise_commuting(bs)
     for k, b in enumerate(bs):
-        allowed = list(a_labels) + list(x_legs[k])
+        allowed = a_labels + list(x_legs[k])
         for mat in b.test_elements():
             _, resid = ambient.restrict(mat, allowed)
             if not resid <= RESIDUAL_TOL * 10:
                 raise NumericsError(
                     f"algebra {k} is not supported on its shared+X legs "
                     f"(residual {resid:.2e})")
+    return (ambient.subspace(a_labels),
+            [reduce_onto_legs(b, a_labels) for b in bs])
 
 
 def sectorize(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
@@ -624,17 +624,13 @@ def sectorize(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
     the shared leg into sectors, and inside every sector the compressed
     reductions are factors that split simultaneously.
     """
-    ambient, a_labels = _validate_leg_layout(a_labels, x_legs, bs)
-    _check_pairwise_commuting(bs)
-    _check_support(ambient, a_labels, x_legs, bs)
     return _sectors_of_reductions(
-        ambient.subspace(a_labels),
-        [reduce_onto_legs(b, a_labels) for b in bs], seed)
+        *_shared_leg_reductions(a_labels, x_legs, bs), seed)
 
 
 def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
-    """The body of sectorize, given the reductions onto the shared legs
-    of algebras that already passed sectorize's hypothesis checks."""
+    """The sector split of the reductions onto the shared legs of
+    algebras that passed _shared_leg_reductions' checks."""
     d_a = a_space.total_dim
     _check_pairwise_commuting(reduced)
     rng = np.random.default_rng(seed)
@@ -702,30 +698,28 @@ def algebraic_lemma(a_labels, x_legs, bs, seed=0):
     """Split a shared leg along commuting factor algebras, or report why not.
 
     Hypotheses checked: the B_k commute pairwise, each is a factor, and
-    each is supported on the shared legs plus its own X legs.  If the
-    reductions of the B_k onto the shared legs span its full matrix
-    algebra, returns LemmaSplit with a unitary on the shared legs under
-    which the k-th reduction becomes the algebra of leg k (last leg
-    absorbing remaining multiplicity).  Otherwise returns a
-    SectorObstruction carrying the joint sector decomposition.
+    each is supported on the shared legs plus its own X legs.  The
+    reductions of the B_k onto the shared legs always go through the
+    sector split.  They span the shared leg's full matrix algebra
+    exactly when there is one sector (every reduction has a trivial
+    centre) and their dimensions multiply to d_a^2 (commuting factors
+    generate their tensor product).  Then the result is a LemmaSplit:
+    the sector unitary, under which the k-th reduction becomes the
+    algebra of leg z_k (the last leg absorbing remaining multiplicity).
+    Otherwise it is a SectorObstruction carrying the sector split.
     """
-    ambient, a_labels = _validate_leg_layout(a_labels, x_legs, bs)
-    _check_pairwise_commuting(bs)
-    _check_support(ambient, a_labels, x_legs, bs)
+    a_space, reduced = _shared_leg_reductions(a_labels, x_legs, bs)
     for k, b in enumerate(bs):
         if not is_factor(b):
             raise NumericsError(f"algebra {k} is not a factor")
-    a_space = ambient.subspace(a_labels)
-    d_a = a_space.total_dim
-    reduced = [reduce_onto_legs(b, a_labels) for b in bs]
-    joint = algebra_closure(
-        a_space, [m for r in reduced for m in r.basis])
-    if joint.dim == d_a * d_a:
-        iso, dims = split_commuting_factors(reduced, a_space, seed=seed)
-        return LemmaSplit(iso, tuple(dims))
     sec = _sectors_of_reductions(a_space, reduced, seed)
+    d_a = a_space.total_dim
+    span = math.prod(r.dim for r in reduced)
+    if sec.n_sectors == 1 and span == d_a * d_a:
+        dims = sec.sectors[0]
+        legs = TensorSpace(tuple((f"z{k + 1}", d) for k, d in enumerate(dims)))
+        return LemmaSplit(UnitaryIso(sec.iso.matrix, a_space, legs), dims)
     return SectorObstruction(
         sec,
-        f"reductions span dimension {joint.dim} < {d_a * d_a}; "
-        f"{sec.n_sectors} joint sector(s)")
-
+        f"{sec.n_sectors} joint sector(s) with reduction dimensions "
+        f"multiplying to {span}; spanning needs one sector and {d_a * d_a}")

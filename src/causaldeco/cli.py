@@ -7,14 +7,16 @@ structure of a unitary), decompose (synthesize a circuit), verify
 (seeded generate/decompose trials), gallery (named reference channels).
 
 Exit codes: 0 success or satisfied, 1 principled refusal or violation,
-2 malformed input, 3 numerical assertion failure or out of memory.  All
-randomness is seeded (default seed 0), so output is reproducible byte
-for byte.
+2 malformed input, 3 numerical assertion failure (a LAPACK routine that
+does not converge included) or out of memory.  All randomness is seeded
+(default seed 0), so output is reproducible byte for byte.
 """
 
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from .errors import InputError, NumericsError
 from .relations import Relation, check_c3ep, load_relation
@@ -48,11 +50,19 @@ def cmd_lattice(args) -> int:
 
 def cmd_check(args) -> int:
     G = load_relation(args.relation)
-    shape = build_concept_lattice(G)
     # check_c3ep compares the scan with the intersection criterion and
     # check_c3ep_lattice path multiplicity with cover disjointness; the
     # relational and lattice verdicts are compared here
     res = check_c3ep(G)
+    try:
+        shape = build_concept_lattice(G)
+    except InputError as exc:
+        # past the concept cap the two relational routes still decide a
+        # violation; a satisfied verdict needs the lattice routes too
+        if res.satisfied:
+            raise
+        return _print_violation(args, res, None,
+                                f"lattice routes skipped: {exc}")
     lat = check_c3ep_lattice(shape)
     if res.satisfied != lat.satisfied:
         raise NumericsError("relational and lattice routes disagree")
@@ -68,16 +78,22 @@ def cmd_check(args) -> int:
             print(f"parent-overlap identity checked at {triples} "
                   "branching triples")
         return 0
+    note = None
+    if lat.evidence:
+        a, b, k = lat.evidence
+        note = f"pair ({a}, {b}) is joined by {k} cover paths"
+    return _print_violation(args, res, lat.evidence, note)
+
+
+def _print_violation(args, res, evidence, note) -> int:
     if args.json:
-        ev = lat.evidence
         print(_dump({"satisfied": False, "witness": res.witness.as_dict(),
-                     "path_evidence": list(ev) if ev else None}))
+                     "path_evidence": list(evidence) if evidence else None}))
     else:
         print("Violated")
         print(_witness_line(res.witness))
-        if lat.evidence:
-            a, b, k = lat.evidence
-            print(f"pair ({a}, {b}) is joined by {k} cover paths")
+        if note:
+            print(note)
     return 1
 
 
@@ -362,7 +378,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a ValueError, but a LAPACK routine that does not
+        # converge is a numerical failure, not malformed input
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

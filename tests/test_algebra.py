@@ -440,6 +440,79 @@ def test_algebraic_lemma_rejects_broken_hypotheses():
         algebraic_lemma(["a"], [["x1"], ["x2"]], [on_a_x2, partner], seed=0)
 
 
+def test_algebraic_lemma_one_sector_short_of_spanning():
+    # M2 (x) 1 (x) 1 and 1 (x) M2 (x) 1 in dim 8: trivial centres give
+    # one sector, but the reductions multiply to 16 < 64, so the shared
+    # leg does not split into their two legs
+    amb = space(("a", 8))
+    w = haar_unitary(8, np.random.default_rng(3))
+    b1 = algebra_closure(amb, [w @ np.kron(e, np.eye(4)) @ dagger(w)
+                               for e in matrix_units(2)])
+    b2 = algebra_closure(amb, [w @ np.kron(np.kron(np.eye(2), e),
+                                           np.eye(2)) @ dagger(w)
+                               for e in matrix_units(2)])
+    out = algebraic_lemma(["a"], [[], []], [b1, b2], seed=0)
+    assert isinstance(out, SectorObstruction)
+    assert out.decomposition.n_sectors == 1
+    assert out.decomposition.sectors == ((2, 4),)
+
+
+@st.composite
+def hidden_commuting_factors(draw):
+    """Shared leg a = C^d1 (x) C^d2 (x) C^m behind a Haar unitary, with
+    private qubits x1, x2.  B_k is M_{d_k} on its tensor factor of a; if
+    it carries the sign S = P - (1 - P) of a rank-r projector P on C^m,
+    it also holds the M2 generated by S (x) X_xk and Z_xk, so it stays a
+    factor while its reduction onto a is the block sum M_{d_k} (x) span{P,
+    1 - P}."""
+    m = draw(st.integers(1, 3))
+    d1, d2 = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(
+        lambda t: t[0] * t[1] * m <= 8))
+    signs = draw(st.tuples(st.booleans(), st.booleans())) if m > 1 \
+        else (False, False)
+    r = draw(st.integers(1, m - 1)) if m > 1 else 0
+    return d1, d2, m, signs, r, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(case=hidden_commuting_factors())
+def test_algebraic_lemma_splits_exactly_when_reductions_span(case):
+    d1, d2, m, signs, r, seed = case
+    d_a = d1 * d2 * m
+    amb = space(("a", d_a), ("x1", 2), ("x2", 2))
+    w = haar_unitary(d_a, np.random.default_rng(seed))
+
+    def on_a(mat):
+        return amb.embed(w @ mat @ dagger(w), ["a"])
+    sign = on_a(np.kron(np.eye(d1 * d2),
+                        np.diag([1.0] * r + [-1.0] * (m - r))))
+    bs = []
+    for k, units in enumerate(
+            ([np.kron(e, np.eye(d2 * m)) for e in matrix_units(d1)],
+             [np.kron(np.kron(np.eye(d1), e), np.eye(m))
+              for e in matrix_units(d2)])):
+        gens = [on_a(e) for e in units]
+        if signs[k]:
+            x = f"x{k + 1}"
+            gens += [sign @ amb.embed(SX, [x]), amb.embed(SZ, [x])]
+        bs.append(algebra_closure(amb, gens))
+    a_space = amb.subspace(["a"])
+    reduced = [reduce_onto_legs(b, ["a"]) for b in bs]
+    spans = algebra_closure(
+        a_space, [g for red in reduced for g in red.basis]).dim == d_a ** 2
+    out = algebraic_lemma(["a"], [["x1"], ["x2"]], bs, seed=seed % 97)
+    assert isinstance(out, LemmaSplit) == spans
+    if spans:
+        assert out.leg_dims == (d1, d2)
+        cod = out.iso.codomain
+        for k, red in enumerate(reduced):
+            for g in red.basis:
+                _, resid = cod.restrict(out.iso.conj(g), [cod.labels[k]])
+                assert resid < 1e-8
+    else:
+        assert out.decomposition.n_sectors == (2 if any(signs) else 1)
+
+
 
 def block_algebra(blocks, w):
     """w (+_i M_{d_i} (x) 1_{m_i}) w^dag, with an orthonormal basis."""

@@ -245,6 +245,23 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, u3_file):
     assert "Traceback" not in captured.err
 
 
+def test_lapack_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which would read as malformed
+    # input; an SVD that does not converge is a numerical failure
+    G = chain2_relation()
+    rel = write_relation(tmp_path / "chain2.json", G)
+    _, U = random_circuit_unitary(G, seed=3)
+    uf = write_unitary(tmp_path / "u.json", U)
+
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", unconverged)
+    assert main(["decompose", uf, rel]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: SVD did not converge\n"
+
+
 def test_analyze_swap(tmp_path, capsys):
     sp = TensorSpace((("a1", 2), ("a2", 2)))
     op = TensorSpace((("b1", 2), ("b2", 2)))

@@ -220,6 +220,41 @@ def test_no_commutant_solve_on_the_pipeline(monkeypatch):
     assert calls == []
 
 
+def test_each_lemma_hypothesis_tested_once(monkeypatch):
+    # the gate split is one path: one factor test per lemma input, and
+    # the only closures are the reductions onto the local legs (no joint
+    # closure of the reductions)
+    import sys
+    import causaldeco.algebra as algebra
+    module = sys.modules["causaldeco.decompose"]
+    calls = {"inputs": 0, "is_factor": 0, "algebra_closure": 0,
+             "reduce_onto_legs": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for key in ("is_factor", "algebra_closure", "reduce_onto_legs"):
+        monkeypatch.setattr(algebra, key, counting(key, getattr(algebra, key)))
+    lemma = module.algebraic_lemma
+
+    def counting_inputs(a_labels, x_legs, bs, seed=0):
+        calls["inputs"] += len(bs)
+        return lemma(a_labels, x_legs, bs, seed=seed)
+    monkeypatch.setattr(module, "algebraic_lemma", counting_inputs)
+    G = fans_relation()
+    for seed in (1, 2):
+        _, ch = random_circuit_unitary(G, seed=seed)
+        for key in calls:
+            calls[key] = 0
+        _, report = decompose(ch, G, seed=seed)
+        assert report.status == "Success"
+        assert calls["inputs"] > 0
+        assert calls["is_factor"] == calls["inputs"]
+        assert calls["algebra_closure"] == calls["reduce_onto_legs"] > 0
+
+
 def test_nan_inclusion_residual_refuses(monkeypatch):
     # a NaN among the wire residuals must refuse, wherever it sits
     import sys

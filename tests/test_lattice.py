@@ -175,6 +175,29 @@ def test_concept_cap(tmp_path, capsys):
     assert "more than 4096 concepts" in capsys.readouterr().err
 
 
+def test_check_above_concept_cap(tmp_path, capsys, monkeypatch):
+    # the relational routes decide a violation the lattice cannot hold
+    path = tmp_path / "contranominal13.json"
+    path.write_text(json.dumps(relation_to_json(_contranominal(13))))
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "Violated"
+    assert out[1].startswith("witness: a1=a00 ")
+    assert out[2] == ("lattice routes skipped: relation 13x13 has more "
+                      "than 4096 concepts")
+    assert main(["check", str(path), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["path_evidence"] is None
+    assert set(data["witness"]) == {"a1", "a2", "a3", "b1", "b2", "b3"}
+    # a satisfied verdict needs the lattice routes, so it is refused
+    import causaldeco.lattice
+    monkeypatch.setattr(causaldeco.lattice, "MAX_CONCEPTS", 1)
+    sat = tmp_path / "chain2.json"
+    sat.write_text(json.dumps(relation_to_json(chain2_relation())))
+    assert main(["check", str(sat)]) == 2
+    assert "more than 1 concepts" in capsys.readouterr().err
+
+
 # -- properties on small relations ----------------------------------------
 
 @st.composite

@@ -14,9 +14,10 @@ from matrices, and one null-space routine, which finds the elements of a
 span that commute with given test matrices.  Centres solve it on the
 algebra's own basis; commutants solve it on all D^2 matrix units, so
 they stay off the synthesis path: a reduction onto local legs is the
-closure of its Schmidt factors, not their double commutant.  Minimal
-central projectors and the Wedderburn form of a factor both read one
-spectral decomposition of a generic element.
+closure of the blocks of its basis over the rest legs, with no Schmidt
+SVD and no double commutant.  Minimal central projectors and the
+Wedderburn form of a factor both read one spectral decomposition of a
+generic element.
 
 The gate-splitting step has one path.  algebraic_lemma and sectorize
 share the layout, commutation and support checks and the reductions
@@ -36,10 +37,11 @@ that passes them makes them hold on the whole span.  A degenerate draw
 can only make a centre or commutant too large, which refuses a factor
 or fails a later verification; it never produces a wrong success.
 
-Numerical policy: rank decisions use singular values against a relative
-threshold scaled by sqrt(dimension); residuals that the mathematics says
-must vanish are checked against absolute-free relative tolerances and
-raise NumericsError when violated.
+Numerical policy: rank decisions read singular values and right vectors
+only (a tall matrix goes through its QR factor R first, so no left
+factor is formed), cut at a relative threshold scaled by sqrt(dimension),
+and refuse non-finite input; residuals that the mathematics says must
+vanish are checked against relative tolerances and raise NumericsError.
 """
 
 from __future__ import annotations
@@ -79,6 +81,21 @@ def _vec(mats: np.ndarray) -> np.ndarray:
     return mats.reshape(k, -1)
 
 
+def _row_space(m) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of m, without U.
+
+    With at least twice as many rows as columns the SVD runs on the
+    square R of m = QR, which has m's s and vh (LAPACK's own path on
+    tall input, minus the tall U).  Non-finite input raises
+    NumericsError: LAPACK's SVD can hang on it."""
+    if not np.isfinite(m).all():
+        raise NumericsError("non-finite entries in a rank decision")
+    if m.shape[0] >= 2 * m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    return s, vh
+
+
 def orthonormalize(mats, rel=SVD_RANK_REL, floor=0.0) -> np.ndarray:
     """Orthonormal basis (stacked, shape (r, D, D)) for the span.
 
@@ -92,11 +109,11 @@ def orthonormalize(mats, rel=SVD_RANK_REL, floor=0.0) -> np.ndarray:
         return mats.reshape(0, *mats.shape[1:])
     d = mats.shape[1]
     m = _vec(mats)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    s, vh = _row_space(m)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, d, d), dtype=complex)
     cut = max(rel * s[0], floor) * np.sqrt(max(m.shape))
-    r = int(np.sum(s > cut))
+    r = int(np.sum(~(s <= cut)))
     return vh[:r].reshape(r, d, d)
 
 
@@ -210,13 +227,13 @@ def _commuting_part(basis, test) -> np.ndarray:
         rows.append(_vec(block).T)
     m = np.concatenate(rows, axis=0)
     # m has >= len(basis) rows, so the reduced vh still spans every
-    # coefficient direction; full_matrices would allocate on the row count
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    # coefficient direction
+    s, vh = _row_space(m)
     # the floor at the test elements' scale keeps rounding-noise
     # commutators (a conjugated scalar algebra) from counting as rank
     floor = SVD_RANK_REL * max(np.linalg.norm(g) for g in test)
     cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
-    rank = int(np.sum(s > cut))
+    rank = int(np.sum(~(s <= cut)))
     coeffs = vh[rank:].conj()
     return orthonormalize(np.tensordot(coeffs, basis, axes=(1, 0)))
 
@@ -502,29 +519,27 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
 def reduce_onto_legs(B: MatrixSubalgebra, target_labels) -> MatrixSubalgebra:
     """Smallest algebra C on the target legs with B inside L(rest) x C.
 
-    C is generated by the Schmidt factors of B's basis over the
-    (rest | target) split: B lies in L(rest) x C exactly when every
-    such factor lies in C.  The factors of a *-algebra span a *-closed
-    set containing the identity, and in finite dimensions the unital
-    *-algebra such a set generates equals its double commutant (von
-    Neumann), so the closure is the bicommutant with no commutant solve.
+    With each basis element written as sum_ij |i><j| x X_ij over the
+    rest legs, B lies in L(rest) x C exactly when every block X_ij does.
+    One transpose lays out all blocks of the basis on the target legs in
+    the requested order; they span the elements' operator-Schmidt right
+    factors, so one orthonormalisation of the stack, with no Schmidt
+    SVD, seeds the closure.  The blocks of a *-algebra span a *-closed
+    set containing the identity, and in finite dimensions the algebra
+    it generates is its double commutant (von Neumann), so the closure
+    is the bicommutant with no commutant solve.
     """
     ambient = B.ambient
     target_labels = list(target_labels)
-    rest = [l for l in ambient.labels if l not in set(target_labels)]
     target_space = ambient.subspace(target_labels)
-    ys = []
-    for mat in B.basis:
-        ys.extend(ambient.schmidt_right_factors(mat, rest))
-    if not ys:
-        return MatrixSubalgebra.scalars(target_space)
-    # the factors come back with legs in ambient order, which need not
-    # agree with the requested target order
-    amb_order = [l for l in ambient.labels if l in set(target_labels)]
-    if amb_order != target_labels:
-        p = ambient.subspace(amb_order).permutation_to(target_labels)
-        ys = [p @ y @ p.T for y in ys]
-    return algebra_closure(target_space, ys)
+    d_t = target_space.total_dim
+    n = len(ambient.labels)
+    legs = [[1 + ambient.index(l) for l in ls]
+            for ls in (ambient.complement(target_labels), target_labels)]
+    axes = [0] + [a + shift for ls in legs for shift in (0, n) for a in ls]
+    blocks = B.basis.reshape((B.dim,) + ambient.dims * 2).transpose(axes)
+    return algebra_closure(target_space,
+                           orthonormalize(blocks.reshape(-1, d_t, d_t)))
 
 
 @dataclass

@@ -75,21 +75,19 @@ class ConceptLattice:
         self._validate()
 
     def _compute_leq(self) -> np.ndarray:
+        """Order matrix, top down: a node lies below itself and below
+        everything above its up-covers.  linear_extension refuses
+        cyclic covers, so every cover (i, j) has i != j and j not <= i."""
         leq = np.eye(len(self.nodes), dtype=bool)
-        for i, j in self.covers:
-            leq[i, j] = True
-        # Warshall: whatever lies below k also lies below all above k
-        for k in range(len(self.nodes)):
-            leq[leq[:, k]] |= leq[k]
+        for i in reversed(self.linear_extension()):
+            for j in self._up[i]:
+                leq[i] |= leq[j]
         return leq
 
     def _validate(self):
         n = len(self.nodes)
         if len({node.alpha for node in self.nodes}) != n:
             raise InputError("duplicate node alpha sets")
-        for i, j in self.covers:
-            if i == j or self._leq[j, i]:
-                raise InputError(f"cover ({i},{j}) violates the order")
         for a in self.inputs:
             if a not in self.lam or not (0 <= self.lam[a] < n):
                 raise InputError(f"lambda missing or invalid for input {a!r}")

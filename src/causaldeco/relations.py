@@ -182,14 +182,17 @@ def _scan_for_pattern(G: Relation) -> C3Witness | None:
 
 def _intersection_criterion_ok(G: Relation) -> bool:
     """Equivalent test: for every output triple sharing a middle element,
-    the parent sets of the two overlapping pairs are disjoint or nested."""
-    outs = sorted(G.outputs)
-    par = {b: parents(G, b) for b in outs}
+    the parent sets of the two overlapping pairs are disjoint or nested.
+    Parent sets are bit masks over the sorted inputs."""
+    ins, outs = sorted(G.inputs), sorted(G.outputs)
+    par = {b: sum(1 << k for k, a in enumerate(ins) if (a, b) in G.pairs)
+           for b in outs}
     for b2 in outs:
         # common parents of {b, b2} for every other output b, in label order
         shared = [par[b] & par[b2] for b in outs if b != b2]
         for p, q in itertools.combinations(shared, 2):
-            if p & q and not (p <= q or q <= p):
+            # nested exactly when the overlap is one of the two sets
+            if p & q not in (0, p, q):
                 return False
     return True
 

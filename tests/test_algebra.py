@@ -7,6 +7,11 @@ property (commutation, conjugation residuals) rather than against the
 solver itself.
 """
 
+import subprocess
+import sys
+import textwrap
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,6 +21,7 @@ from causaldeco.algebra import (
     MatrixSubalgebra,
     SectorObstruction,
     algebra_closure,
+    _row_space,
     algebraic_lemma,
     centre,
     commutant,
@@ -32,6 +38,7 @@ from causaldeco.algebra import (
 from causaldeco.causal import UnitaryChannel, heisenberg_image
 from causaldeco.errors import InputError, NumericsError
 from causaldeco.tensorspace import TensorSpace, dagger, haar_unitary
+from test_cli import source_env
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -622,4 +629,64 @@ def test_reduction_is_double_commutant_of_schmidt_factors(case):
         .permutation_to(target)
     oracle = commutant(commutant_of([p @ y @ p.T for y in ys],
                                     target_space))
-    assert reduce_onto_legs(B, target).same_span(oracle)
+    # before closing, the orthonormalised blocks already span exactly
+    # the (reordered) Schmidt factors
+    seeds = []
+
+    def capture(ambient, mats):
+        seeds.append(np.asarray(mats))
+        return algebra_closure(ambient, mats)
+    with mock.patch("causaldeco.algebra.algebra_closure", capture):
+        reduced = reduce_onto_legs(B, target)
+    factors = MatrixSubalgebra(target_space,
+                               orthonormalize([p @ y @ p.T for y in ys]))
+    assert len(seeds) == 1
+    assert MatrixSubalgebra(target_space, seeds[0]).same_span(factors)
+    assert reduced.same_span(oracle)
+
+
+@pytest.mark.parametrize("shape", [(96, 8), (40, 20), (9, 9), (6, 15)])
+def test_row_space_matches_svd(shape):
+    # tall inputs (at least twice as many rows as columns) go through R,
+    # the others straight to the SVD; both give numpy's s and row space
+    rng = np.random.default_rng(shape[0])
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # a rank-deficient variant too, so the projector is not the identity
+    for mat in (m, m[:, :1] @ m[:1, :] + m[:, 1:2] @ m[1:2, :]):
+        s, vh = _row_space(mat)
+        _, s_ref, vh_ref = np.linalg.svd(mat, full_matrices=False)
+        assert np.abs(s - s_ref).max() <= 1e-12 * s_ref[0]
+        r = int(np.sum(s_ref > 1e-9 * s_ref[0]))
+        proj = dagger(vh[:r]) @ vh[:r]
+        proj_ref = dagger(vh_ref[:r]) @ vh_ref[:r]
+        assert np.abs(proj - proj_ref).max() <= 1e-12
+
+
+def test_non_finite_rank_input_raises():
+    # LAPACK's SVD can hang on an inf entry, so the check runs in a
+    # child process: a regression fails on the timeout instead of hanging
+    script = textwrap.dedent("""
+        import numpy as np
+        from causaldeco.algebra import (MatrixSubalgebra, algebra_closure,
+                                        centre, orthonormalize)
+        from causaldeco.errors import NumericsError
+        from causaldeco.tensorspace import TensorSpace
+        amb = TensorSpace((("a", 2),))
+        for bad in (np.inf, np.nan):
+            m = np.array([[bad, 0], [0, 1]], dtype=complex)
+            calls = (lambda: orthonormalize(m),
+                     lambda: algebra_closure(amb, [m]),
+                     lambda: centre(MatrixSubalgebra(amb, m[None])))
+            for call in calls:
+                try:
+                    call()
+                except NumericsError:
+                    print("refused")
+                else:
+                    print("accepted")
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=60,
+                         env=source_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["refused"] * 6

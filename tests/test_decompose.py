@@ -220,6 +220,23 @@ def test_no_commutant_solve_on_the_pipeline(monkeypatch):
     assert calls == []
 
 
+def test_no_schmidt_svd_on_the_pipeline(monkeypatch):
+    # reductions onto the local legs orthonormalise the blocks of the
+    # whole basis at once, with no operator-Schmidt SVD per element
+    schmidt = TensorSpace.schmidt_right_factors
+    calls = []
+
+    def counting(self, mat, left_labels, rel=1e-9):
+        calls.append(tuple(left_labels))
+        return schmidt(self, mat, left_labels, rel)
+    monkeypatch.setattr(TensorSpace, "schmidt_right_factors", counting)
+    G = fans_relation()
+    _, ch = random_circuit_unitary(G, seed=7)
+    _, report = decompose(ch, G, seed=2)
+    assert report.status == "Success"
+    assert calls == []
+
+
 def test_each_lemma_hypothesis_tested_once(monkeypatch):
     # the gate split is one path: one factor test per lemma input, and
     # the only closures are the reductions onto the local legs (no joint

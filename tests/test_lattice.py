@@ -242,3 +242,18 @@ def test_covers_are_the_hasse_diagram(G):
 @given(G=small_relations())
 def test_connectivity_property(G):
     assert connectivity(build_concept_lattice(G)).same_pairs(G)
+
+
+@PROPERTY
+@given(G=small_relations())
+def test_order_matrix_equals_warshall(G):
+    # oracle: Warshall's transitive closure of the covers
+    shape = build_concept_lattice(G)
+    n = len(shape)
+    leq = [[i == j or (i, j) in shape.covers for j in range(n)]
+           for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    assert [[shape.leq(i, j) for j in range(n)] for i in range(n)] == leq

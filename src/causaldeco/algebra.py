@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .tensorspace import TensorSpace, dagger
+from .tensorspace import TensorSpace, dagger, require_finite
 
 SVD_RANK_REL = 1e-9
 COMM_REL_TOL = 1e-9
@@ -88,8 +88,7 @@ def _row_space(m) -> tuple[np.ndarray, np.ndarray]:
     square R of m = QR, which has m's s and vh (LAPACK's own path on
     tall input, minus the tall U).  Non-finite input raises
     NumericsError: LAPACK's SVD can hang on it."""
-    if not np.isfinite(m).all():
-        raise NumericsError("non-finite entries in a rank decision")
+    require_finite(m, "a rank decision")
     if m.shape[0] >= 2 * m.shape[1]:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -353,6 +352,7 @@ class UnitaryIso:
 
 
 def _projected_unitary(m) -> np.ndarray:
+    require_finite(m, "a polar projection")
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 
@@ -398,6 +398,7 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
         ok = True
         for i in range(1, d):
             q = projs[i] @ s @ projs[0]
+            require_finite(q, "a connecting partial isometry")
             uu, sv, vv = np.linalg.svd(q)
             if sv.size < m or not sv[m - 1] > 1e-8 * sv[0]:
                 ok = False
@@ -662,9 +663,10 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
         for k, i in enumerate(tup):
             p = p @ per_alg[k][i]
         p = (p + dagger(p)) / 2.0
-        r = int(round(float(np.real(np.trace(p)))))
-        if r == 0 and np.linalg.norm(p) <= RESIDUAL_TOL * np.sqrt(d_a):
+        if np.linalg.norm(p) <= RESIDUAL_TOL * np.sqrt(d_a):
             continue
+        # eigh raises LinAlgError on some NaN inputs and returns on others
+        require_finite(p, "a joint central product")
         vals, vecs = np.linalg.eigh(p)
         keep = vals > 0.5
         r = int(np.sum(keep))

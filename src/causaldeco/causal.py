@@ -14,6 +14,7 @@ each can serve as an oracle for the other.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -213,46 +214,62 @@ def _ordered_subset(space: TensorSpace, labels, side) -> list[str]:
     return [l for l in space.labels if l in set(labels)]
 
 
-def _move_leg_front(g: np.ndarray, space: TensorSpace, label: str):
-    """Reshape a matrix on the space so the named leg is the first index
-    pair: returns array (d, R, d, R)."""
+def _leg_plan(space: TensorSpace, label: str):
+    """What the influence kernel needs of one input leg: the shape that
+    splits a D x D matrix's row and column into (outer, leg, inner)
+    digits, the D x d one-hot matrix of the leg digit, the pairs k < l,
+    and a mask that zeroes a d x d diagonal while keeping a NaN."""
     dims = space.dims
-    n = len(dims)
     k = space.index(label)
     d = dims[k]
-    big = g.reshape(dims + dims)
-    order = [k] + [i for i in range(n) if i != k]
-    axes = order + [n + i for i in order]
-    moved = np.transpose(big, axes)
-    R = g.shape[0] // d
-    return moved.reshape(d, R, d, R)
+    inner = math.prod(dims[k + 1:])
+    digit = np.arange(space.total_dim) // inner % d
+    onehot = (digit[:, None] == np.arange(d)).astype(float)
+    ku, lu = np.triu_indices(d, 1)
+    split = (space.total_dim // (d * inner), d, inner)
+    return split * 2, onehot, ku, lu, 1.0 - np.eye(d)
 
 
 def _output_leg_norms(U: UnitaryChannel, b: str, alphas) -> dict:
     """Max raw Frobenius norm of [U^dag(E (x) 1)U, F (x) 1] over matrix
     units E of output leg b and F of input leg a, for each a in alphas.
 
-    Each image U^dag(E_ij (x) 1)U is formed once, as W_i^dag W_j from the
-    rows of U grouped by b index, and tested against every input leg.
-    With g in a-leg-first coordinates (d, R, d, R), the squared norm for
-    F_kl is the off-diagonal block mass in column k and in row l plus the
-    squared distance between diagonal blocks k and l: sums of squares, so
-    commuting pairs come out at roundoff scale."""
+    With g = U^dag(E_ij (x) 1)U in a-leg blocks g_kl, the squared norm
+    for F_kl is the off-diagonal block mass in block column k and in
+    block row l plus |g_kk - g_ll|^2.  Each image is W_i^dag W_j, from
+    the rows of U grouped by b index, and only the pairs i <= j are
+    formed: the (j, i) image is the adjoint of the (i, j) one, so its
+    norm at (k, l) is the (i, j) norm at (l, k), and the max over (k, l)
+    is the same.  |g|^2 is taken once per image, and each leg's block
+    masses are one contraction with its one-hot digit matrix.  The
+    differences g_kk - g_ll (k < l) are formed before squaring: every
+    term is a sum of squares, so a commuting pair comes out at roundoff
+    scale.  A Gram form |g_kk|^2 + |g_ll|^2 - 2 Re<g_kk, g_ll> would
+    cancel O(1) terms, with an error near the influence cut at D=256.
+    Each leg's arithmetic is its own, so the norm does not depend on
+    which other legs are in alphas, and a NaN in U stays a NaN."""
     w = _rows_by_beta(U, [b])
+    plans = {a: _leg_plan(U.in_space, a) for a in alphas}
     best = dict.fromkeys(alphas, 0.0)
-    for wi in w:
-        wi_dag = dagger(wi)
-        for wj in w:
-            g = wi_dag @ wj
-            for a in alphas:
-                g4 = _move_leg_front(g, U.in_space, a)
-                sq = np.einsum("irjs->ij", np.abs(g4) ** 2)
-                off = sq - np.diag(np.diag(sq))
-                dg = np.einsum("mrms->mrs", g4)
-                d1 = np.einsum("klrs->kl", np.abs(dg[:, None] - dg[None]) ** 2)
-                n2 = off.sum(axis=0)[:, None] + off.sum(axis=1)[None, :] + d1
-                best[a] = max(best[a], float(n2.max()))
-    return {a: float(np.sqrt(max(s, 0.0))) for a, s in best.items()}
+    d_b = w.shape[0]
+    for i in range(d_b):
+        wi_dag = dagger(w[i])
+        for j in range(i, d_b):
+            g = wi_dag @ w[j]
+            p = g.real ** 2 + g.imag ** 2
+            for a, (split, onehot, ku, lu, off_mask) in plans.items():
+                off = (onehot.T @ p @ onehot) * off_mask
+                n2 = off.sum(axis=0)[:, None] + off.sum(axis=1)[None, :]
+                if ku.size:
+                    # a view of the diagonal blocks, (d, outer, inner)^2
+                    diag = np.einsum("ikjlkm->kijlm", g.reshape(split))
+                    diff = (diag[ku] - diag[lu]).reshape(ku.size, -1)
+                    d1 = np.einsum("pi,pi->p", diff.view(float),
+                                   diff.view(float))
+                    n2[ku, lu] += d1
+                    n2[lu, ku] += d1
+                best[a] = np.maximum(best[a], n2.max())
+    return {a: float(np.sqrt(s)) for a, s in best.items()}
 
 
 def pair_commutator_norm(U: UnitaryChannel, a: str, b: str) -> float:

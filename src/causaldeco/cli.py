@@ -22,7 +22,8 @@ from .errors import InputError, NumericsError
 from .relations import Relation, check_c3ep, load_relation
 from .lattice import (build_concept_lattice, check_c3ep_lattice,
                       overlap_lemma_check, shape_to_json, to_dot)
-from .causal import causal_structure_report, load_unitary, unitary_to_json
+from .causal import (INFLUENCE_REL_TOL, causal_structure_report, load_unitary,
+                     unitary_to_json)
 from .circuits import (circuit_to_json, load_circuit, random_circuit_unitary,
                        uniform_dims)
 from .decompose import FAILED, SUCCESS, decompose, verify_decomposition
@@ -323,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze",
                        help="numerical causal structure of a unitary")
     p.add_argument("unitary", help="unitary JSON file")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative influence tolerance")
+    p.add_argument("--tol", type=float, default=INFLUENCE_REL_TOL,
+                   help="relative influence tolerance (default: the "
+                        "library's, %(default)g)")
     p.add_argument("--json", action="store_true", help="machine output")
     p.set_defaults(func=cmd_analyze)
 

@@ -21,7 +21,7 @@ from .circuits import Circuit, advance_frame, compose_matrix, \
 from .errors import InputError, NumericsError
 from .lattice import build_concept_lattice, connectivity
 from .relations import C3Witness, Relation, check_c3ep
-from .tensorspace import TensorSpace
+from .tensorspace import TensorSpace, require_finite
 
 SUCCESS = "Success"
 REFUSED_C3EP = "RefusedC3EP"
@@ -193,8 +193,9 @@ def _split_local_rotation(W, out_space):
         flat = int(np.argmax(np.abs(blocks)))
         _, r, _, c = np.unravel_index(flat, blocks.shape)
         s = blocks[:, r, :, c]
+        require_finite(s, f"the residual rotation on leg {b!r}")
         u, sv, vh = np.linalg.svd(s)
-        if sv[-1] <= 0.5 * sv[0]:
+        if not (sv[-1] > 0.5 * sv[0]):
             raise NumericsError(
                 f"residual rotation does not factor on leg {b!r} "
                 f"(singular values {sv[0]:.3e}..{sv[-1]:.3e})")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericsError
 
 # Hard cap on ambient dimensions for dense linear algebra.
 DIM_CAP = 256
@@ -25,6 +25,13 @@ DIM_CAP = 256
 
 def _as_complex(mat) -> np.ndarray:
     return np.asarray(mat, dtype=complex)
+
+
+def require_finite(mat, what: str) -> None:
+    """Raise NumericsError unless every entry is finite.  LAPACK's SVD
+    can hang on a non-finite entry, so every SVD input passes here."""
+    if not np.isfinite(mat).all():
+        raise NumericsError(f"non-finite entries in {what}")
 
 
 def as_dim(value, what: str) -> int:
@@ -188,6 +195,7 @@ class TensorSpace:
         dr = self.total_dim // dl
         m4 = m.reshape(dl, dr, dl, dr)
         mmat = np.transpose(m4, (0, 2, 1, 3)).reshape(dl * dl, dr * dr)
+        require_finite(mmat, "an operator Schmidt decomposition")
         u, s, vh = np.linalg.svd(mmat, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
             return []

@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import causaldeco.algebra as algebra_module
 from causaldeco.algebra import (
     LemmaSplit,
     MatrixSubalgebra,
     SectorObstruction,
+    UnitaryIso,
+    _sectors_of_reductions,
     algebra_closure,
     _row_space,
     algebraic_lemma,
@@ -690,3 +693,119 @@ def test_non_finite_rank_input_raises():
                          env=source_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["refused"] * 6
+
+
+def test_non_finite_svd_input_raises():
+    # the SVDs outside _row_space get the same finite check; each site
+    # is fed inf and NaN in a child process, for the same reason
+    script = textwrap.dedent("""
+        import numpy as np
+        from causaldeco import algebra
+        from causaldeco.decompose import _split_local_rotation
+        from causaldeco.errors import NumericsError
+        from causaldeco.tensorspace import TensorSpace
+        pair = TensorSpace((("x", 2), ("y", 2)))
+        amb = TensorSpace((("a", 2),))
+        # finite projectors, so the partial-isometry SVD is reached
+        algebra._spectral_projectors = lambda S, rng, count: [
+            np.diag([1.0, 0.0]).astype(complex),
+            np.diag([0.0, 1.0]).astype(complex)]
+        for bad in (np.inf, np.nan):
+            m4 = np.eye(4, dtype=complex)
+            m4[1, 0] = bad
+            m2 = np.eye(2, dtype=complex)
+            m2[1, 0] = bad
+            units = np.stack(algebra.matrix_units(2))
+            units[2] = m2  # E_10 with a non-finite entry
+            calls = (
+                lambda: pair.schmidt_right_factors(m4, ["x"]),
+                lambda: algebra.factorize_factor(
+                    algebra.MatrixSubalgebra(amb, units)),
+                lambda: algebra._projected_unitary(m2),
+                lambda: _split_local_rotation(m4, pair))
+            for call in calls:
+                try:
+                    call()
+                except NumericsError:
+                    print("refused")
+                else:
+                    print("accepted")
+    """)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=60,
+                         env=source_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["refused"] * 8
+
+
+def _with_nan(mat):
+    mat = np.array(mat, dtype=complex)
+    mat.flat[0] = np.nan
+    return mat
+
+
+def test_nan_eigenvectors_refused_by_projector_checks(monkeypatch):
+    # np.linalg.eigh returns on a NaN, so the containment test of the
+    # spectral projectors is what refuses them
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda h: (eigh(h)[0], _with_nan(eigh(h)[1])))
+    diagonal = MatrixSubalgebra(
+        TensorSpace((("a", 2),)),
+        np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+    with pytest.raises(NumericsError, match="central projectors"):
+        minimal_central_projectors(diagonal)
+    factor = MatrixSubalgebra.on_legs(TensorSpace((("f", 2), ("c", 2))), ["f"])
+    with pytest.raises(NumericsError, match="clusters"):
+        factorize_factor(factor)
+
+
+@pytest.mark.parametrize("side", ["conj", "inv_conj"])
+def test_nan_refused_by_factorization_verification(monkeypatch, side):
+    # one direction of the two-way check at a time sees a NaN
+    factor = MatrixSubalgebra.on_legs(TensorSpace((("f", 2), ("c", 2))), ["f"])
+    orig = getattr(UnitaryIso, side)
+    monkeypatch.setattr(UnitaryIso, side,
+                        lambda self, mat: _with_nan(orig(self, mat)))
+    with pytest.raises(NumericsError, match="verification failed"):
+        factorize_factor(factor)
+
+
+def test_nan_refused_by_commuting_and_leak_checks(monkeypatch):
+    amb = TensorSpace((("x", 2), ("y", 2)))
+    bs = [MatrixSubalgebra.on_legs(amb, ["x"]),
+          MatrixSubalgebra.on_legs(amb, ["y"])]
+    bs[1].basis[1] = _with_nan(bs[1].basis[1])
+    with pytest.raises(NumericsError, match="do not commute"):
+        split_commuting_factors(bs)
+    # past the commuting check, the NaN reaches the leak residual
+    monkeypatch.setattr(algebra_module, "_check_pairwise_commuting",
+                        lambda bs: None)
+    with pytest.raises(NumericsError, match="leaks onto the split leg"):
+        split_commuting_factors(bs)
+
+
+def test_nan_refused_by_sector_checks(monkeypatch):
+    # a NaN in one minimal central projector is refused before the
+    # joint product reaches eigh, not as a ValueError from rounding its
+    # trace to an integer
+    a_space = TensorSpace((("a", 4),))
+    x_space = TensorSpace((("x", 2), ("y", 2)))
+    reduced = [MatrixSubalgebra(a_space, MatrixSubalgebra.on_legs(
+        x_space, [leg]).basis) for leg in ("x", "y")]
+    projs = minimal_central_projectors
+    monkeypatch.setattr(
+        algebra_module, "minimal_central_projectors",
+        lambda S, seed=0: [_with_nan(p) for p in projs(S, seed)])
+    with pytest.raises(NumericsError, match="joint central product"):
+        _sectors_of_reductions(a_space, reduced, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_unitary_iso_refused(bad):
+    space = TensorSpace((("a", 2),))
+    mat = np.eye(2, dtype=complex)
+    mat[0, 1] = bad
+    with pytest.raises(NumericsError, match="not unitary"):
+        UnitaryIso(mat, space, space)

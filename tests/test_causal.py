@@ -8,6 +8,8 @@ permutation, for the flips one solves which input flip produces the
 output flip.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,8 +34,14 @@ from causaldeco.errors import (
     InputError,
     NumericsError,
 )
-from causaldeco.relations import Relation, c3_relation
+from causaldeco.circuits import random_circuit_unitary
+from causaldeco.lattice import build_concept_lattice
+from causaldeco.relations import (Relation, c3_relation, chain2_relation,
+                                  check_c3ep, fan_in_relation,
+                                  fan_out_relation,
+                                  overlapping_fans_relation, swap_relation)
 from causaldeco.tensorspace import TensorSpace, dagger, haar_unitary
+from test_acceptance import _thread_dims
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -223,6 +231,66 @@ def test_causal_structure_matches_direct_commutators(legs, seed):
         scale = np.sqrt(D / ins.dim(a)) * np.sqrt(D / outs.dim(b))
         assert abs(raw - direct_commutator_norm(u, a, b)) <= 1e-12 * scale
     assert causal_structure(u).pairs == rep.relation.pairs
+
+
+REFERENCE_RELATIONS = (overlapping_fans_relation(), chain2_relation(),
+                       swap_relation(), fan_in_relation(), fan_out_relation())
+
+
+@st.composite
+def circuit_channels(draw):
+    """Random-circuit unitaries on a reference shape or on a random C3EP
+    relation up to 3x3, leg dims 1-3 threaded along cover paths: pairs
+    off the relation, and pairs whose path carries a dim-1 wire, have no
+    influence exactly."""
+    if draw(st.booleans()):
+        G = draw(st.sampled_from(REFERENCE_RELATIONS))
+    else:
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        ins = tuple(f"a{i + 1}" for i in range(n))
+        outs = tuple(f"b{j + 1}" for j in range(m))
+        cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+        G = Relation(ins, outs, frozenset(
+            p for p, on in zip(itertools.product(ins, outs), cells) if on))
+        assume(check_c3ep(G).satisfied)
+    seed = draw(st.integers(0, 2**32 - 1))
+    shape = build_concept_lattice(G)
+    in_dims, out_dims, wire_dims = _thread_dims(
+        shape, np.random.default_rng(seed))
+    _, u = random_circuit_unitary(shape, wire_dims=wire_dims,
+                                  leg_dims={**in_dims, **out_dims}, seed=seed)
+    return u
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(u=circuit_channels())
+def test_no_influence_norms_at_roundoff(u):
+    # A kernel that cancels O(1) terms (a Gram form of the diagonal-block
+    # differences) leaves about 1e-8 where these must read roundoff.
+    rep = causal_structure_report(u)
+    D = u.dim
+    for (a, b), raw in rep.raw_norms.items():
+        bound = 1e-12 * np.sqrt(D / u.in_space.dim(a)) \
+            * np.sqrt(D / u.out_space.dim(b))
+        no_influence = no_influence_choi_oracle(u, [a], [b])
+        assert ((a, b) not in rep.relation.pairs) == no_influence, (a, b)
+        if no_influence:
+            assert raw <= bound, (a, b, raw)
+        assert abs(raw - direct_commutator_norm(u, a, b)) <= bound, (a, b)
+
+
+def test_nan_after_construction_reads_as_influence():
+    # the channel checks its matrix once; a NaN written later must not
+    # come out as a norm of 0, which would read as no influence
+    u = UnitaryChannel(haar_unitary(8, np.random.default_rng(5)),
+                       TensorSpace((("a1", 2), ("a2", 4))),
+                       TensorSpace((("b1", 4), ("b2", 2))))
+    u.matrix[3, 5] = np.nan
+    rep = causal_structure_report(u)
+    assert all(np.isnan(raw) for raw in rep.raw_norms.values())
+    assert rep.relation.pairs == frozenset(rep.raw_norms)
+    assert np.isnan(pair_commutator_norm(u, "a2", "b1"))
+    assert influences(u, "a2", "b1", warn=False)
 
 
 def test_influence_path_forms_images_in_closed_form(monkeypatch):

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causaldeco.causal import (UnitaryChannel, load_unitary, unitary_to_json)
+from causaldeco.causal import (INFLUENCE_REL_TOL, UnitaryChannel,
+                               causal_structure_report, load_unitary,
+                               unitary_to_json)
 from causaldeco.circuits import load_circuit, random_circuit_unitary
-from causaldeco.cli import main
+from causaldeco.cli import build_parser, main
 from causaldeco.gallery import u3
 from causaldeco.lattice import connectivity, shape_from_json
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
@@ -187,6 +189,21 @@ def test_analyze_u3_gives_c3_pairs(capsys, u3_file):
     data = json.loads(capsys.readouterr().out)
     assert {tuple(p) for p in data["pairs"]} == set(c3_relation().pairs)
     assert data["borderline"] == []
+
+
+def test_analyze_default_tolerance_is_the_library_one(tmp_path, capsys):
+    # analyze and decompose decide influence at one tolerance, so they
+    # cannot disagree on a pair near the cut
+    _, U = random_circuit_unitary(chain2_relation(), seed=3)
+    path = write_unitary(tmp_path / "chain2.json", U)
+    assert build_parser().parse_args(["analyze", path]).tol == \
+        INFLUENCE_REL_TOL
+    assert main(["analyze", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    rep = causal_structure_report(load_unitary(path))
+    assert data["thresholds"] == {f"{a}->{b}": cut for (a, b), cut
+                                  in rep.thresholds.items()}
+    assert {tuple(p) for p in data["pairs"]} == rep.relation.pairs
 
 
 def test_analyze_non_finite_unitary_exits_2(tmp_path, capsys):

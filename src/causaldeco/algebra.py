@@ -58,6 +58,16 @@ SVD_RANK_REL = 1e-9
 COMM_REL_TOL = 1e-9
 CLUSTER_REL = 1e-7
 RESIDUAL_TOL = 1e-8
+# residuals of what a generic element yields (its spectral projectors,
+# its support) carry the eigensolver's roundoff on top
+GENERIC_RESIDUAL_TOL = RESIDUAL_TOL * 10
+# UnitaryIso accepts ||V^dag V - 1|| up to this times sqrt(dim)
+ISO_UNITARITY_TOL = 1e-7
+# a connecting partial isometry needs rank m: sv[m-1] above this * sv[0]
+ISOMETRY_RANK_REL = 1e-8
+# a joint central product may sit this far (times sqrt(d_a)) from the
+# projector it is cleaned to
+PROJECTOR_CLEANUP_TOL = 1e-6
 # commutant_of solves over all D^2 matrix units, an SVD of a
 # (2n D^2) x D^2 commutator map for n test matrices; no pipeline step
 # calls it, and commutant stays within this cap.
@@ -95,10 +105,11 @@ def _row_space(m) -> tuple[np.ndarray, np.ndarray]:
     return s, vh
 
 
-def orthonormalize(mats, rel=SVD_RANK_REL, floor=0.0) -> np.ndarray:
+def orthonormalize(mats, floor=0.0) -> np.ndarray:
     """Orthonormal basis (stacked, shape (r, D, D)) for the span.
 
-    Keeps singular directions with s > max(rel * s_max, floor) * sqrt(n)
+    Keeps singular directions with s > max(SVD_RANK_REL * s_max, floor)
+    * sqrt(n)
     where n is the larger dimension of the stacked coefficient matrix.
     """
     mats = np.asarray(mats, dtype=complex)
@@ -111,7 +122,7 @@ def orthonormalize(mats, rel=SVD_RANK_REL, floor=0.0) -> np.ndarray:
     s, vh = _row_space(m)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, d, d), dtype=complex)
-    cut = max(rel * s[0], floor) * np.sqrt(max(m.shape))
+    cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
     r = int(np.sum(~(s <= cut)))
     return vh[:r].reshape(r, d, d)
 
@@ -152,14 +163,11 @@ class MatrixSubalgebra:
     def contains(self, mat, rel_tol=RESIDUAL_TOL) -> bool:
         return self.residual(mat) <= rel_tol
 
-    def spans_subspace_of(self, other: "MatrixSubalgebra",
-                          rel_tol=RESIDUAL_TOL) -> bool:
-        return all(other.contains(b, rel_tol) for b in self.basis)
+    def spans_subspace_of(self, other: "MatrixSubalgebra") -> bool:
+        return all(other.contains(b) for b in self.basis)
 
-    def same_span(self, other: "MatrixSubalgebra",
-                  rel_tol=RESIDUAL_TOL) -> bool:
-        return (self.dim == other.dim
-                and self.spans_subspace_of(other, rel_tol))
+    def same_span(self, other: "MatrixSubalgebra") -> bool:
+        return self.dim == other.dim and self.spans_subspace_of(other)
 
     def test_elements(self) -> np.ndarray:
         """Two generic Hermitian elements of the span, drawn from
@@ -270,11 +278,11 @@ def is_factor(S: MatrixSubalgebra) -> bool:
     return centre(S).dim == 1
 
 
-def _cluster_sorted(vals, rel=CLUSTER_REL) -> list[list[int]]:
+def _cluster_sorted(vals) -> list[list[int]]:
     spread = float(vals[-1] - vals[0]) if len(vals) else 0.0
     clusters = [[0]]
     for k in range(1, len(vals)):
-        if spread > 0 and vals[k] - vals[k - 1] >= rel * spread:
+        if spread > 0 and vals[k] - vals[k - 1] >= CLUSTER_REL * spread:
             clusters.append([k])
         else:
             clusters[-1].append(k)
@@ -301,7 +309,7 @@ def _spectral_projectors(S: MatrixSubalgebra, rng, count):
         if len(clusters) != count:
             continue
         projs = [vecs[:, c] @ dagger(vecs[:, c]) for c in clusters]
-        if all(S.contains(p, RESIDUAL_TOL * 10) for p in projs):
+        if all(S.contains(p, GENERIC_RESIDUAL_TOL) for p in projs):
             return projs
     return None
 
@@ -341,7 +349,7 @@ class UnitaryIso:
             raise InputError(f"matrix shape {self.matrix.shape}, expected "
                              f"({d}, {d})")
         resid = np.linalg.norm(dagger(self.matrix) @ self.matrix - np.eye(d))
-        if not resid <= 1e-7 * np.sqrt(d):
+        if not resid <= ISO_UNITARITY_TOL * np.sqrt(d):
             raise NumericsError(f"matrix is not unitary (residual {resid:.2e})")
 
     def conj(self, mat) -> np.ndarray:
@@ -357,15 +365,16 @@ def _projected_unitary(m) -> np.ndarray:
     return u @ vh
 
 
-def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
+def factorize_factor(B: MatrixSubalgebra, seed=0):
     """Wedderburn form of a factor: unitary V with V B V^dag = M_d x 1_m.
 
     Returns (iso, d, m) where d^2 is the dimension of B and m the
-    multiplicity.  Construction: spectral projectors of a generic
-    Hermitian element give the d minimal projectors; polar parts of
-    p_i s p_1 for a generic s in B give connecting partial isometries;
-    rows of V are the vectors u_i f_mu over an orthonormal basis f of
-    the first projector's range.  Verified by conjugating bases both
+    multiplicity; the codomain legs are f (dim d) and c (dim m).
+    Construction: spectral projectors of a generic Hermitian element
+    give the d minimal projectors; polar parts of p_i s p_1 for a
+    generic s in B give connecting partial isometries; rows of V are the
+    vectors u_i f_mu over an orthonormal basis f of the first
+    projector's range.  Verified by conjugating bases both
     ways, which also proves B is a factor; a non-factor raises
     NumericsError.
     """
@@ -378,7 +387,7 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
     if D % d != 0:
         raise NumericsError(f"dim {d} factor cannot sit in ambient {D}")
     m = D // d
-    codomain = TensorSpace(((labels[0], d), (labels[1], m)))
+    codomain = TensorSpace((("f", d), ("c", m)))
     if d == 1:
         return UnitaryIso(np.eye(D), ambient, codomain), 1, D
     rng = np.random.default_rng(seed)
@@ -400,7 +409,7 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
             q = projs[i] @ s @ projs[0]
             require_finite(q, "a connecting partial isometry")
             uu, sv, vv = np.linalg.svd(q)
-            if sv.size < m or not sv[m - 1] > 1e-8 * sv[0]:
+            if sv.size < m or not sv[m - 1] > ISOMETRY_RANK_REL * sv[0]:
                 ok = False
                 break
             cand.append(uu[:, :m] @ vv[:m, :])
@@ -424,19 +433,19 @@ def factorize_factor(B: MatrixSubalgebra, seed=0, labels=("f", "c")):
 
     # Verify both directions of the claimed form.
     for b in B.basis:
-        _, resid = codomain.restrict(iso.conj(b), [labels[0]])
+        _, resid = codomain.restrict(iso.conj(b), ["f"])
         if not resid <= RESIDUAL_TOL:
             raise NumericsError(
                 f"factorization verification failed (residual {resid:.2e})")
     for e in matrix_units(d):
-        back = iso.inv_conj(codomain.embed(e, [labels[0]]))
+        back = iso.inv_conj(codomain.embed(e, ["f"]))
         if not B.residual(back) <= RESIDUAL_TOL:
             raise NumericsError("factorization verification failed on the "
                                 "reverse direction")
     return iso, d, m
 
 
-def _check_pairwise_commuting(bs, rel_tol=COMM_REL_TOL):
+def _check_pairwise_commuting(bs):
     # every algebra draws from the same seed, so x_k and y_k may share
     # coefficients; the cross pairs (x_1, y_2) and (x_2, y_1) are
     # independent draws, which is what the bilinear argument needs
@@ -450,18 +459,17 @@ def _check_pairwise_commuting(bs, rel_tol=COMM_REL_TOL):
                     if nx == 0 or ny == 0:
                         continue
                     c = np.linalg.norm(x @ y - y @ x) / (nx * ny)
-                    if not c <= rel_tol:
+                    if not c <= COMM_REL_TOL:
                         raise NumericsError(
                             f"algebras {i} and {j} do not commute "
                             f"(relative commutator {c:.2e})")
 
 
-def split_commuting_factors(bs, ambient: TensorSpace | None = None,
-                            seed=0, labels=None):
+def split_commuting_factors(bs, ambient: TensorSpace | None = None, seed=0):
     """Simultaneous tensor split of pairwise commuting factors.
 
     Produces a unitary iso V from the common ambient onto a product of
-    legs Z_1 x ... x Z_n such that V B_k V^dag acts on leg k alone.  The
+    legs z1 x ... x zn such that V B_k V^dag acts on leg k alone.  The
     first n-1 legs have the dimensions of their factors; the last leg
     absorbs whatever multiplicity remains, so it contains (and under a
     spanning hypothesis equals) the image of B_n.
@@ -480,8 +488,6 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
             raise InputError("algebras live on different ambient dimensions")
     _check_pairwise_commuting(bs)
     n = len(bs)
-    if labels is None:
-        labels = [f"z{i + 1}" for i in range(n)]
     D = ambient.total_dim
     v_tot = np.eye(D, dtype=complex)
     prefix = 1
@@ -492,7 +498,7 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
     rng = np.random.default_rng(seed)
     for k in range(n - 1):
         iso, d, mult = factorize_factor(
-            cur[k], seed=int(rng.integers(0, 2**31)), labels=("f", "c"))
+            cur[k], seed=int(rng.integers(0, 2**31)))
         w = np.kron(np.eye(prefix), iso.matrix)
         v_tot = w @ v_tot
         dims.append(d)
@@ -512,7 +518,7 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None,
         prefix *= d
         cur_dim = mult
     dims.append(cur_dim)
-    codomain = TensorSpace(tuple((labels[i], dims[i]) for i in range(n)))
+    codomain = TensorSpace(tuple((f"z{i + 1}", d) for i, d in enumerate(dims)))
     iso = UnitaryIso(v_tot, ambient, codomain)
     return iso, dims
 
@@ -623,7 +629,7 @@ def _shared_leg_reductions(a_labels, x_legs, bs):
         allowed = a_labels + list(x_legs[k])
         for mat in b.test_elements():
             _, resid = ambient.restrict(mat, allowed)
-            if not resid <= RESIDUAL_TOL * 10:
+            if not resid <= GENERIC_RESIDUAL_TOL:
                 raise NumericsError(
                     f"algebra {k} is not supported on its shared+X legs "
                     f"(residual {resid:.2e})")
@@ -674,7 +680,8 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
             continue
         q = vecs[:, keep]
         p_clean = q @ dagger(q)
-        if not np.linalg.norm(p_clean - p) <= 1e-6 * np.sqrt(d_a):
+        if not (np.linalg.norm(p_clean - p)
+                <= PROJECTOR_CLEANUP_TOL * np.sqrt(d_a)):
             raise NumericsError("joint central product is far from a "
                                 "projector")
         clean.append((tup, p_clean, q))

@@ -365,7 +365,8 @@ def composite_influences(U: UnitaryChannel, alphas, betas,
                 for f in matrix_units(U.in_space.dim(a)):
                     femb = U.in_space.embed(f, [a])
                     c = np.linalg.norm(g @ femb - femb @ g)
-                    if c > rel_tol * ng * np.linalg.norm(femb):
+                    # a NaN norm reads as influence
+                    if not c <= rel_tol * ng * np.linalg.norm(femb):
                         return True
     return False
 
@@ -407,11 +408,10 @@ def choi_factorization_residual(U: UnitaryChannel, alphas, betas) -> float:
     return float(np.linalg.norm(rho - candidate, ord="nuc"))
 
 
-def no_influence_choi_oracle(U: UnitaryChannel, alphas, betas,
-                             tol=CHOI_TRACE_TOL) -> bool:
+def no_influence_choi_oracle(U: UnitaryChannel, alphas, betas) -> bool:
     """Independent no-influence test: the marginal output on the beta
     legs, as a channel, ignores the alpha inputs."""
-    return choi_factorization_residual(U, alphas, betas) <= tol
+    return choi_factorization_residual(U, alphas, betas) <= CHOI_TRACE_TOL
 
 
 def atomicity_check(U: UnitaryChannel, rel_tol=INFLUENCE_REL_TOL) -> bool:

@@ -169,8 +169,8 @@ class Circuit:
                   / np.sqrt(g.shape[1]) for g in self.gates.values()]
         return float(np.max(resids, initial=0.0))
 
-    def gates_unitary(self, tol: float = GATE_UNITARITY_TOL) -> bool:
-        return self.gate_unitarity_residual() <= tol
+    def gates_unitary(self) -> bool:
+        return self.gate_unitarity_residual() <= GATE_UNITARITY_TOL
 
 
 def _leg_dim_map(dims, labels, side) -> dict:

@@ -26,7 +26,8 @@ from .causal import (INFLUENCE_REL_TOL, causal_structure_report, load_unitary,
                      unitary_to_json)
 from .circuits import (circuit_to_json, load_circuit, random_circuit_unitary,
                        uniform_dims)
-from .decompose import FAILED, SUCCESS, decompose, verify_decomposition
+from .decompose import (FAILED, RECOMPOSE_TOL, SUCCESS, decompose,
+                        verify_decomposition)
 from .gallery import build_counterexample, loose_wires_c3, u3
 
 
@@ -336,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation", help="relation JSON file")
     p.add_argument("--out", help="write the circuit JSON here")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="residual acceptance threshold")
+    p.add_argument("--tol", type=float, default=RECOMPOSE_TOL,
+                   help="residual acceptance threshold, times sqrt(dim) "
+                        "(default: the library's, %(default)g)")
     p.add_argument("--pad-connectivity", action="store_true",
                    help="grow the relation until the exclusion property "
                         "holds before decomposing")
@@ -349,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unitary", help="unitary JSON file")
     p.add_argument("circuit", help="circuit JSON file")
     p.add_argument("relation", help="relation JSON file")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="residual acceptance threshold")
+    p.add_argument("--tol", type=float, default=RECOMPOSE_TOL,
+                   help="residual acceptance threshold, times sqrt(dim) "
+                        "(default: the library's, %(default)g)")
     p.add_argument("--json", action="store_true", help="machine output")
     p.set_defaults(func=cmd_verify)
 

@@ -1,8 +1,9 @@
 """Synthesis of unitary circuits on the canonical shape of a relation.
 
-The decomposer walks the shape bottom-up.  At each node it conjugates
-the Heisenberg images of the outputs above each outgoing wire, and of
-the outputs emitted here, by everything already synthesized; the
+The decomposer walks the shape bottom-up.  At each node it sees U
+through everything already synthesized, as the channel U V^dag from
+the node's frame, and takes from it the Heisenberg images of the
+outputs above each outgoing wire and of the outputs emitted here; the
 gate-splitting lemma then refactors the node's local legs into wire and
 output factors, which fixes the gate and the wire dimensions.  After the
 top node, whatever local rotations remain on the output legs are peeled
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MatrixSubalgebra, SectorDecomposition, \
-    SectorObstruction, algebraic_lemma, dagger
+from .algebra import SectorDecomposition, SectorObstruction, \
+    algebraic_lemma, dagger
 from .causal import UnitaryChannel, causal_structure, heisenberg_image
 from .circuits import Circuit, advance_frame, compose_matrix, \
     fix_gate_phase, node_input_legs, node_output_legs, start_frame, _leg_name
@@ -99,12 +100,14 @@ def verify_decomposition(U: UnitaryChannel, circuit: Circuit,
     (the faithfulness flag).  Failures land in the report; nothing is
     raised for them.
     """
+    U = U.with_leg_order(sorted(U.in_space.labels),
+                         sorted(U.out_space.labels))
     return _verify(U, circuit, G, tol, causal_structure(U))
 
 
 def _verify(U, circuit, G, tol, structure) -> DecompositionReport:
-    """verify_decomposition against an already computed causal structure
-    of U."""
+    """verify_decomposition for U with its legs in sorted order, against
+    an already computed causal structure of U."""
     gates_ok = circuit.gates_unitary()
     conn = connectivity(circuit.shape)
     labels_match = (set(U.in_space.labels) == set(circuit.shape.inputs)
@@ -115,9 +118,7 @@ def _verify(U, circuit, G, tol, structure) -> DecompositionReport:
         and all(U.out_space.dim(b) == circuit.out_dims[b]
                 for b in circuit.out_dims)
     if dims_match:
-        target = U.with_leg_order(sorted(U.in_space.labels),
-                                  sorted(U.out_space.labels)).matrix
-        residual = _phase_residual(compose_matrix(circuit), target)
+        residual = _phase_residual(compose_matrix(circuit), U.matrix)
     else:
         residual = float("inf")
     connectivity_ok = (set(G.inputs) == set(conn.inputs)
@@ -132,11 +133,6 @@ def _verify(U, circuit, G, tol, structure) -> DecompositionReport:
         connectivity_ok=connectivity_ok,
         gates_unitary=gates_ok,
         faithful=faithful)
-
-
-def _conjugated(alg: MatrixSubalgebra, vmat, frame) -> MatrixSubalgebra:
-    # unitary conjugation keeps the basis orthonormal
-    return MatrixSubalgebra(frame, vmat @ alg.basis @ dagger(vmat))
 
 
 def _inclusion_residuals(img, frame, name, d) -> list[float]:
@@ -160,17 +156,6 @@ def _partial_composition(shape, gates, wire_dims, in_dims, out_dims,
                 for l in node_output_legs(shape, u)]
         frame, mat = advance_frame(frame, mat, gates[u], gin, gout)
     return frame, mat
-
-
-def _beta_images(U, shape):
-    """Heisenberg images above every wire target, plus per-output ones."""
-    needed = set()
-    for v in range(len(shape.nodes)):
-        needed.update(shape.up_covers(v))
-    cache = {w: heisenberg_image(U, list(shape.nodes[w].beta))
-             for w in needed if shape.nodes[w].beta}
-    singles = {b: heisenberg_image(U, [b]) for b in shape.outputs}
-    return cache, singles
 
 
 def _split_local_rotation(W, out_space):
@@ -233,7 +218,6 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
     shape = build_concept_lattice(G)
     in_dims = {a: U.in_space.dim(a) for a in shape.inputs}
     out_dims = {b: U.out_space.dim(b) for b in shape.outputs}
-    beta_images, single_images = _beta_images(U, shape)
     gates = {}
     wire_dims = {}
     diags = []
@@ -261,21 +245,20 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
             diags.append(NodeDiagnostics(v, 1, (1,) * len(covers)
                                          + (1,) * len(outs_here), 0.0))
             continue
+        # U seen from the node's frame: its images are V U^dag(E x 1)U V^dag
+        seen = UnitaryChannel(U.matrix @ dagger(vmat), frame, U.out_space)
+        live = [w for w in covers if shape.nodes[w].beta]
         bs = []
         x_legs = []
-        live = []
-        for w in covers:
-            if w not in beta_images:
-                continue
+        for w in live:
             reach = set()
             for b in shape.nodes[w].beta:
                 reach |= {a for a, bb in G.pairs if bb == b}
-            bs.append(_conjugated(beta_images[w], vmat, frame))
+            bs.append(heisenberg_image(seen, shape.nodes[w].beta))
             x_legs.append(sorted("A:" + a for a in reach - alpha))
-            live.append(w)
-        n_covers = len(bs)
+        n_covers = len(live)
         for b in outs_here:
-            bs.append(_conjugated(single_images[b], vmat, frame))
+            bs.append(heisenberg_image(seen, [b]))
             x_legs.append([])
         if not bs:
             raise NumericsError(
@@ -302,10 +285,11 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
                  wire_dims[l[1]] if l[0] == "wire" else out_dims[l[1]])
                 for l in node_output_legs(shape, v)]
         nframe, nvmat = advance_frame(frame, vmat, gates[v], gin, gout)
+        seen = UnitaryChannel(U.matrix @ dagger(nvmat), nframe, U.out_space)
         resids = [0.0]
         for w in live:
             resids += _inclusion_residuals(
-                _conjugated(beta_images[w], nvmat, nframe), nframe,
+                heisenberg_image(seen, shape.nodes[w].beta), nframe,
                 _leg_name(("wire", (v, w))), wire_dims[(v, w)])
         # np.max keeps a NaN, which the builtin max can drop
         worst = float(np.max(resids))
@@ -316,9 +300,7 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
         diags.append(NodeDiagnostics(v, local_dim, tuple(dims), worst))
     # peel the leftover output rotations off the composite
     draft = Circuit(shape, wire_dims, in_dims, out_dims, gates)
-    target = U.with_leg_order(sorted(U.in_space.labels),
-                              sorted(U.out_space.labels)).matrix
-    W = target @ dagger(compose_matrix(draft))
+    W = U.matrix @ dagger(compose_matrix(draft))
     locals_ = _split_local_rotation(W, draft.out_space)
     for b, wb in locals_.items():
         m = shape.mu[b]

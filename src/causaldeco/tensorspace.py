@@ -171,10 +171,6 @@ class TensorSpace:
         residual = np.linalg.norm(mat - rebuilt) / norm
         return small, residual
 
-    def is_supported_on(self, mat, labels, rel_tol=1e-8) -> bool:
-        _, residual = self.restrict(mat, labels)
-        return residual <= rel_tol
-
     # -- operator Schmidt ------------------------------------------------
 
     def schmidt_right_factors(self, mat, left_labels, rel=1e-9):

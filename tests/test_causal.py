@@ -124,7 +124,7 @@ def test_heisenberg_image_algebra():
     s = swap_channel()
     img = heisenberg_image(s, ["b1"])
     for mat in img.basis:
-        assert s.in_space.is_supported_on(mat, ["a2"])
+        assert s.in_space.restrict(mat, ["a2"])[1] <= 1e-8
     # CNOT pulls X on the control output to X(x)X.
     c = cnot_channel()
     assert heisenberg_image(c, ["b1"]).contains(kron(SX, SX))
@@ -291,6 +291,49 @@ def test_nan_after_construction_reads_as_influence():
     assert rep.relation.pairs == frozenset(rep.raw_norms)
     assert np.isnan(pair_commutator_norm(u, "a2", "b1"))
     assert influences(u, "a2", "b1", warn=False)
+
+
+def test_nan_after_construction_reads_as_composite_influence():
+    # the embedded-commutator route must not read a NaN norm as a
+    # commuting pair either
+    u = UnitaryChannel(np.eye(4), qubit_space("a", 2), qubit_space("b", 2))
+    assert not composite_influences(u, ["a1"], ["b2"])
+    u.matrix[0, 0] = np.nan
+    assert np.isnan(pair_commutator_norm(u, "a1", "b2"))
+    assert composite_influences(u, ["a1"], ["b2"])
+
+
+@st.composite
+def framed_channels(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    out_dims = draw(st.permutations(dims))
+    frame_dims = draw(st.permutations(dims))
+    n_out = len(out_dims)
+    betas = draw(st.lists(st.integers(0, n_out - 1), min_size=1,
+                          max_size=n_out, unique=True))
+    return dims, out_dims, frame_dims, betas, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(case=framed_channels())
+def test_image_from_a_frame_is_the_conjugated_image(case):
+    # the image of U V^dag, read on a relabeled frame, is the image of U
+    # conjugated by V, element for element and in the same order
+    dims, out_dims, frame_dims, betas, seed = case
+    rng = np.random.default_rng(seed)
+    D = int(np.prod(dims))
+    in_space = TensorSpace(tuple((f"a{i}", d) for i, d in enumerate(dims)))
+    out = TensorSpace(tuple((f"b{i}", d) for i, d in enumerate(out_dims)))
+    frame = TensorSpace(tuple((f"Z:{i}", d)
+                              for i, d in enumerate(frame_dims)))
+    U = UnitaryChannel(haar_unitary(D, rng), in_space, out)
+    V = haar_unitary(D, rng)
+    beta = [f"b{i}" for i in betas]
+    seen = heisenberg_image(UnitaryChannel(U.matrix @ dagger(V), frame, out),
+                            beta)
+    assert seen.ambient == frame
+    assert np.abs(seen.basis - V @ heisenberg_image(U, beta).basis
+                  @ dagger(V)).max() <= 1e-12
 
 
 def test_influence_path_forms_images_in_closed_form(monkeypatch):

@@ -15,6 +15,7 @@ from causaldeco.causal import (INFLUENCE_REL_TOL, UnitaryChannel,
                                unitary_to_json)
 from causaldeco.circuits import load_circuit, random_circuit_unitary
 from causaldeco.cli import build_parser, main
+from causaldeco.decompose import RECOMPOSE_TOL
 from causaldeco.gallery import u3
 from causaldeco.lattice import connectivity, shape_from_json
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
@@ -182,6 +183,16 @@ def test_screening_at_64_labels(tmp_path):
 
 
 # -- analyze -------------------------------------------------------------
+
+
+def test_residual_tolerance_defaults_are_the_library_one():
+    # decompose --tol and verify --tol are the library's recomposition
+    # tolerance, not a copy of its value
+    parser = build_parser()
+    assert parser.parse_args(["decompose", "u.json", "g.json"]).tol \
+        == RECOMPOSE_TOL
+    assert parser.parse_args(["verify", "u.json", "c.json", "g.json"]).tol \
+        == RECOMPOSE_TOL
 
 
 def test_analyze_u3_gives_c3_pairs(capsys, u3_file):

@@ -272,6 +272,27 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
         assert calls["algebra_closure"] == calls["reduce_onto_legs"] > 0
 
 
+def test_images_taken_from_the_node_channel(monkeypatch):
+    # every image the synthesis forms is of U seen from a node's frame,
+    # through the gates already synthesized, never of U on its own legs;
+    # a frame holds inputs, wires and the outputs emitted below
+    import sys
+    module = sys.modules["causaldeco.decompose"]
+    image = module.heisenberg_image
+    legs = []
+
+    def recording(U, betas):
+        legs.extend(U.in_space.labels)
+        return image(U, betas)
+    monkeypatch.setattr(module, "heisenberg_image", recording)
+    G = fans_relation()
+    _, ch = random_circuit_unitary(G, seed=1)
+    _, report = decompose(ch, G, seed=1)
+    assert report.status == "Success"
+    assert legs and all(l[:2] in ("A:", "B:", "Z:") for l in legs)
+    assert any(l.startswith("Z:") for l in legs)
+
+
 def test_nan_inclusion_residual_refuses(monkeypatch):
     # a NaN among the wire residuals must refuse, wherever it sits
     import sys

@@ -58,6 +58,16 @@ def node_output_legs(shape: ConceptLattice, v: int) -> list[tuple]:
     return legs
 
 
+def gate_legs(shape: ConceptLattice, v: int, wire_dims, out_dims):
+    """The gate at node v as advance_frame consumes it: the frame names
+    of its input legs and the (name, dim) pairs of its output legs."""
+    gin = [_leg_name(l) for l in node_input_legs(shape, v)]
+    gout = [(_leg_name(l),
+             wire_dims[l[1]] if l[0] == "wire" else out_dims[l[1]])
+            for l in node_output_legs(shape, v)]
+    return gin, gout
+
+
 def _leg_name(leg) -> str:
     kind, key = leg
     if kind == "in":
@@ -214,10 +224,9 @@ def compose_matrix(circuit: Circuit) -> np.ndarray:
     frame = start_frame(shape, circuit.in_dims)
     mat = np.eye(frame.total_dim, dtype=complex)
     for v in shape.linear_extension():
-        gin = [_leg_name(l) for l in circuit.input_legs(v)]
-        gout = [(_leg_name(l), circuit.leg_dim(l))
-                for l in circuit.output_legs(v)]
-        frame, mat = advance_frame(frame, mat, circuit.gates[v], gin, gout)
+        frame, mat = advance_frame(
+            frame, mat, circuit.gates[v],
+            *gate_legs(shape, v, circuit.wire_dims, circuit.out_dims))
         if frame.total_dim > FRAME_DIM_CAP:
             raise InputError(
                 f"intermediate dimension {frame.total_dim} exceeds "

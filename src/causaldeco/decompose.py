@@ -5,24 +5,26 @@ through everything already synthesized, as the channel U V^dag from
 the node's frame, and takes from it the Heisenberg images of the
 outputs above each outgoing wire and of the outputs emitted here; the
 gate-splitting lemma then refactors the node's local legs into wire and
-output factors, which fixes the gate and the wire dimensions.  After the
-top node, whatever local rotations remain on the output legs are peeled
-off the composite and absorbed into the emitting gates.
+output factors, which fixes the wire dimensions and the gate up to a
+rotation on each output it emits.  The node reads that rotation off the
+output's image and undoes it, and checks each wire against its image
+through the gate, so every gate is finished at its own node and the
+walk ends with one verification of the composite.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import SectorDecomposition, SectorObstruction, \
-    algebraic_lemma, dagger
+    _projected_unitary, algebraic_lemma, dagger
 from .causal import UnitaryChannel, causal_structure, heisenberg_image
 from .circuits import Circuit, advance_frame, compose_matrix, \
-    fix_gate_phase, node_input_legs, node_output_legs, start_frame, _leg_name
+    fix_gate_phase, gate_legs, start_frame
 from .errors import InputError, NumericsError
 from .lattice import build_concept_lattice, connectivity
 from .relations import C3Witness, Relation, check_c3ep
-from .tensorspace import TensorSpace, require_finite
 
 SUCCESS = "Success"
 REFUSED_C3EP = "RefusedC3EP"
@@ -135,10 +137,28 @@ def _verify(U, circuit, G, tol, structure) -> DecompositionReport:
         faithful=faithful)
 
 
-def _inclusion_residuals(img, frame, name, d) -> list[float]:
-    """Relative distance from img of each matrix unit on wire ``name``."""
-    return [img.residual(frame.embed(e, [name]))
-            for e in np.eye(d * d, dtype=complex).reshape(d * d, d, d)]
+def _inclusion_residuals(img, frame, gin, iso, leg) -> list[float]:
+    """Relative distance from img of each matrix unit on gate output
+    ``leg``, taken back through the gate onto the node's input legs."""
+    d = iso.codomain.dim(leg)
+    return [img.residual(frame.embed(
+        iso.inv_conj(iso.codomain.embed(e, [leg])), gin))
+        for e in np.eye(d * d, dtype=complex).reshape(d * d, d, d)]
+
+
+def _output_rotation(img, frame, gin, iso, leg):
+    """The rotation w the gate leaves on output ``leg``, up to phase.
+
+    The gate carries the unit e_i0 of the output's image (its basis
+    element i*d) to (w E_i0 w^dag) x 1, so the part on ``leg`` is
+    proportional to w_i w_0^dag; its column c, where |w_0| peaks, is w_i
+    times one common factor, and the polar part of those columns is w.
+    """
+    d = iso.codomain.dim(leg)
+    parts = [iso.codomain.partial_trace(
+        iso.conj(frame.partial_trace(e, gin)), [leg]) for e in img.basis[::d]]
+    c = int(np.argmax(np.abs(np.diagonal(parts[0]))))
+    return _projected_unitary(np.stack([p[:, c] for p in parts], axis=1))
 
 
 def _partial_composition(shape, gates, wire_dims, in_dims, out_dims,
@@ -146,46 +166,12 @@ def _partial_composition(shape, gates, wire_dims, in_dims, out_dims,
     """Frame and matrix of the gates at ``members``, identity elsewhere."""
     frame = start_frame(shape, in_dims)
     mat = np.eye(frame.total_dim, dtype=complex)
-    dims = dict(wire_dims)
     for u in shape.linear_extension():
-        if u not in members:
-            continue
-        gin = [_leg_name(l) for l in node_input_legs(shape, u)]
-        gout = [(_leg_name(l),
-                 dims[l[1]] if l[0] == "wire" else out_dims[l[1]])
-                for l in node_output_legs(shape, u)]
-        frame, mat = advance_frame(frame, mat, gates[u], gin, gout)
+        if u in members:
+            frame, mat = advance_frame(
+                frame, mat, gates[u],
+                *gate_legs(shape, u, wire_dims, out_dims))
     return frame, mat
-
-
-def _split_local_rotation(W, out_space):
-    """Per-leg factors of a tensor-product unitary on out_space.
-
-    W must equal a product of leg-local unitaries up to global phase
-    (guaranteed for the residual rotation left by the synthesis); each
-    factor is recovered from the best slice and polar-projected.
-    """
-    locals_ = {}
-    for b in out_space.labels:
-        d = out_space.dim(b)
-        if d == 1:
-            locals_[b] = np.eye(1, dtype=complex)
-            continue
-        perm, permuted = out_space.front_permutation([b])
-        Wp = perm @ W @ dagger(perm)
-        rest = Wp.shape[0] // d
-        blocks = Wp.reshape(d, rest, d, rest)
-        flat = int(np.argmax(np.abs(blocks)))
-        _, r, _, c = np.unravel_index(flat, blocks.shape)
-        s = blocks[:, r, :, c]
-        require_finite(s, f"the residual rotation on leg {b!r}")
-        u, sv, vh = np.linalg.svd(s)
-        if not (sv[-1] > 0.5 * sv[0]):
-            raise NumericsError(
-                f"residual rotation does not factor on leg {b!r} "
-                f"(singular values {sv[0]:.3e}..{sv[-1]:.3e})")
-        locals_[b] = u @ vh
-    return locals_
 
 
 def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
@@ -219,17 +205,16 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
     in_dims = {a: U.in_space.dim(a) for a in shape.inputs}
     out_dims = {b: U.out_space.dim(b) for b in shape.outputs}
     gates = {}
-    wire_dims = {}
+    # a wire carries dimension 1 until the lemma at its source widens it
+    wire_dims = {e: 1 for e in shape.covers}
     diags = []
     for v in shape.linear_extension():
         below = [u for u in range(len(shape.nodes))
                  if u != v and shape.leq(u, v)]
         frame, vmat = _partial_composition(
             shape, gates, wire_dims, in_dims, out_dims, set(below))
-        gin = [_leg_name(l) for l in node_input_legs(shape, v)]
-        local_dim = 1
-        for name in gin:
-            local_dim *= frame.dim(name)
+        gin, _ = gate_legs(shape, v, wire_dims, out_dims)
+        local_dim = math.prod(frame.dim(name) for name in gin)
         covers = shape.up_covers(v)
         outs_here = shape.outputs_at(v)
         alpha = set(shape.nodes[v].alpha)
@@ -239,8 +224,6 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
                 raise NumericsError(
                     f"output {oversized[0]!r} at node {v} has dimension "
                     f"{out_dims[oversized[0]]} but nothing feeds it")
-            for w in covers:
-                wire_dims[(v, w)] = 1
             gates[v] = np.eye(1, dtype=complex)
             diags.append(NodeDiagnostics(v, 1, (1,) * len(covers)
                                          + (1,) * len(outs_here), 0.0))
@@ -275,44 +258,29 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
                 raise NumericsError(
                     f"output {b!r} realized with dimension {d} instead "
                     f"of {out_dims[b]} at node {v}")
-        wd = dict(zip(live, dims[:n_covers]))
-        for w in covers:
-            wire_dims[(v, w)] = wd.get(w, 1)
-        gates[v] = got.iso.matrix
-        # realized wires must lie inside the images they were cut from,
-        # under everything synthesized up to and including this node
-        gout = [(_leg_name(l),
-                 wire_dims[l[1]] if l[0] == "wire" else out_dims[l[1]])
-                for l in node_output_legs(shape, v)]
-        nframe, nvmat = advance_frame(frame, vmat, gates[v], gin, gout)
-        seen = UnitaryChannel(U.matrix @ dagger(nvmat), nframe, U.out_space)
+        wire_dims.update(((v, w), d) for w, d in zip(live, dims))
+        # the gate's output legs are z1..zn, live wires first; realized
+        # wires must lie inside the images they were cut from
+        iso = got.iso
+        legs = iso.codomain.labels
         resids = [0.0]
-        for w in live:
-            resids += _inclusion_residuals(
-                heisenberg_image(seen, shape.nodes[w].beta), nframe,
-                _leg_name(("wire", (v, w))), wire_dims[(v, w)])
+        for k in range(n_covers):
+            resids += _inclusion_residuals(bs[k], frame, gin, iso, legs[k])
         # np.max keeps a NaN, which the builtin max can drop
         worst = float(np.max(resids))
         if not worst <= INCLUSION_TOL:
             raise NumericsError(
                 f"wire algebra at node {v} leaks outside its image "
                 f"(residual {worst:.2e})")
+        # undo the rotation the gate leaves on each output it emits
+        gate = iso.matrix
+        for k in range(n_covers, len(bs)):
+            rot = _output_rotation(bs[k], frame, gin, iso, legs[k])
+            gate = iso.codomain.embed(dagger(rot), [legs[k]]) @ gate
+        gates[v] = gate
         diags.append(NodeDiagnostics(v, local_dim, tuple(dims), worst))
-    # peel the leftover output rotations off the composite
-    draft = Circuit(shape, wire_dims, in_dims, out_dims, gates)
-    W = U.matrix @ dagger(compose_matrix(draft))
-    locals_ = _split_local_rotation(W, draft.out_space)
-    for b, wb in locals_.items():
-        m = shape.mu[b]
-        space = _gate_out_space(draft, node_output_legs(shape, m))
-        gates[m] = space.embed(wb, ["B:" + b]) @ gates[m]
     gates = {v: fix_gate_phase(g) for v, g in gates.items()}
     circuit = Circuit(shape, wire_dims, in_dims, out_dims, gates)
     report = _verify(U, circuit, G, tol, structure)
     report.per_node_diagnostics = tuple(diags)
     return circuit, report
-
-
-def _gate_out_space(circuit, legs):
-    return TensorSpace(tuple((_leg_name(l), circuit.leg_dim(l))
-                             for l in legs))

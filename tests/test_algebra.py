@@ -701,7 +701,7 @@ def test_non_finite_svd_input_raises():
     script = textwrap.dedent("""
         import numpy as np
         from causaldeco import algebra
-        from causaldeco.decompose import _split_local_rotation
+        from causaldeco.decompose import _output_rotation
         from causaldeco.errors import NumericsError
         from causaldeco.tensorspace import TensorSpace
         pair = TensorSpace((("x", 2), ("y", 2)))
@@ -722,7 +722,10 @@ def test_non_finite_svd_input_raises():
                 lambda: algebra.factorize_factor(
                     algebra.MatrixSubalgebra(amb, units)),
                 lambda: algebra._projected_unitary(m2),
-                lambda: _split_local_rotation(m4, pair))
+                lambda: _output_rotation(
+                    algebra.MatrixSubalgebra(pair, np.stack([m4] * 4)), pair,
+                    ["x", "y"], algebra.UnitaryIso(np.eye(4), pair, pair),
+                    "x"))
             for call in calls:
                 try:
                     call()

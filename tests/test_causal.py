@@ -238,11 +238,11 @@ REFERENCE_RELATIONS = (overlapping_fans_relation(), chain2_relation(),
 
 
 @st.composite
-def circuit_channels(draw):
-    """Random-circuit unitaries on a reference shape or on a random C3EP
-    relation up to 3x3, leg dims 1-3 threaded along cover paths: pairs
-    off the relation, and pairs whose path carries a dim-1 wire, have no
-    influence exactly."""
+def relation_circuits(draw):
+    """(G, out_dims, U): a random-circuit unitary U on a reference shape
+    or on a random C3EP relation G up to 3x3, leg dims 1-3 threaded
+    along cover paths: pairs off the relation, and pairs whose path
+    carries a dim-1 wire, have no influence exactly."""
     if draw(st.booleans()):
         G = draw(st.sampled_from(REFERENCE_RELATIONS))
     else:
@@ -259,11 +259,14 @@ def circuit_channels(draw):
         shape, np.random.default_rng(seed))
     _, u = random_circuit_unitary(shape, wire_dims=wire_dims,
                                   leg_dims={**in_dims, **out_dims}, seed=seed)
-    return u
+    return G, out_dims, u
+
+
+circuit_channels = relation_circuits().map(lambda case: case[-1])
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(u=circuit_channels())
+@given(u=circuit_channels)
 def test_no_influence_norms_at_roundoff(u):
     # A kernel that cancels O(1) terms (a Gram form of the diagonal-block
     # differences) leaves about 1e-8 where these must read roundoff.

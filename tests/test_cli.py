@@ -473,6 +473,34 @@ def test_roundtrip_other_base_dim(tmp_path, capsys):
     assert "1/1 pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("json_out", [False, True])
+def test_roundtrip_reports_circuitless_trial(tmp_path, capsys, monkeypatch,
+                                             json_out):
+    # an obstruction returns no circuit, so the trial has no residual;
+    # it fails as a row, and the run exits 3, not with a traceback
+    from causaldeco.algebra import SectorObstruction
+
+    def forced(a_labels, x_legs, bs, seed=0):
+        return SectorObstruction(None, "forced")
+    monkeypatch.setattr(sys.modules["causaldeco.decompose"],
+                        "algebraic_lemma", forced)
+    rel = write_relation(tmp_path / "chain2.json", chain2_relation())
+    argv = ["roundtrip", rel, "--trials", "1"] + (["--json"] if json_out
+                                                  else [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if json_out:
+        data = json.loads(captured.out)
+        assert data["passes"] == 0
+        assert data["rows"] == [{"trial": 0, "seed": 0,
+                                 "status": "Obstruction", "residual": None,
+                                 "pass": False}]
+    else:
+        assert captured.out.splitlines() == [
+            "trial 0: fail (Obstruction)", "0/1 pass"]
+
+
 def test_roundtrip_c3_refused(capsys, c3_file):
     assert main(["roundtrip", c3_file, "--trials", "2"]) == 1
     assert "refused" in capsys.readouterr().out

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from causaldeco.algebra import SectorObstruction
 from causaldeco.causal import UnitaryChannel, causal_structure
 from causaldeco.circuits import Circuit, compose_matrix, random_circuit_unitary
-from causaldeco.decompose import DecompositionReport, decompose, \
-    equal_up_to_global_phase, verify_decomposition
+from causaldeco.decompose import INCLUSION_TOL, RECOMPOSE_TOL, \
+    DecompositionReport, decompose, equal_up_to_global_phase, \
+    verify_decomposition
 from causaldeco.errors import InputError, NumericsError
 from causaldeco.gallery import build_counterexample, obstruction_witness, u3
 from causaldeco.lattice import build_concept_lattice
@@ -15,6 +17,7 @@ from causaldeco.relations import Relation, c3_relation, fan_out_relation, \
     full_relation
 from causaldeco.tensorspace import TensorSpace
 
+from test_causal import relation_circuits
 from test_circuits import classical_copy_c3_circuit, u3_matrix
 
 
@@ -237,15 +240,32 @@ def test_no_schmidt_svd_on_the_pipeline(monkeypatch):
     assert calls == []
 
 
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(case=relation_circuits())
+def test_roundtrip_on_random_shapes_and_dims(case):
+    # every C3EP relation synthesizes a random circuit of its own shape
+    # back, with the output dims the circuit was drawn with
+    G, out_dims, U = case
+    circuit, report = decompose(U, G)
+    assert report.status == "Success"
+    assert report.recomposition_residual <= RECOMPOSE_TOL * np.sqrt(U.dim)
+    assert all(d.inclusion_residual <= INCLUSION_TOL
+               for d in report.per_node_diagnostics)
+    assert circuit.out_dims == out_dims
+
+
 def test_each_lemma_hypothesis_tested_once(monkeypatch):
     # the gate split is one path: one factor test per lemma input, and
     # the only closures are the reductions onto the local legs (no joint
-    # closure of the reductions)
+    # closure of the reductions); each gate is finished at its node, so
+    # the only images are the lemma's inputs and the circuit is composed
+    # once, by the final verification
     import sys
     import causaldeco.algebra as algebra
     module = sys.modules["causaldeco.decompose"]
     calls = {"inputs": 0, "is_factor": 0, "algebra_closure": 0,
-             "reduce_onto_legs": 0}
+             "reduce_onto_legs": 0, "heisenberg_image": 0,
+             "compose_matrix": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -254,6 +274,8 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
         return wrapper
     for key in ("is_factor", "algebra_closure", "reduce_onto_legs"):
         monkeypatch.setattr(algebra, key, counting(key, getattr(algebra, key)))
+    for key in ("heisenberg_image", "compose_matrix"):
+        monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
     lemma = module.algebraic_lemma
 
     def counting_inputs(a_labels, x_legs, bs, seed=0):
@@ -270,6 +292,8 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
         assert calls["inputs"] > 0
         assert calls["is_factor"] == calls["inputs"]
         assert calls["algebra_closure"] == calls["reduce_onto_legs"] > 0
+        assert calls["heisenberg_image"] == calls["inputs"]
+        assert calls["compose_matrix"] == 1
 
 
 def test_images_taken_from_the_node_channel(monkeypatch):

@@ -81,7 +81,6 @@ from .decompose import (
     decompose,
     verify_decomposition,
     DecompositionReport,
-    equal_up_to_global_phase,
     SUCCESS,
     REFUSED_C3EP,
     REFUSED_CAUSAL,
@@ -114,6 +113,5 @@ __all__ = [
     "circuit_to_json", "circuit_from_json", "load_circuit",
     "u3", "loose_wires_c3", "build_counterexample", "obstruction_witness",
     "decompose", "verify_decomposition", "DecompositionReport",
-    "equal_up_to_global_phase",
     "SUCCESS", "REFUSED_C3EP", "REFUSED_CAUSAL", "OBSTRUCTION", "FAILED",
 ]

@@ -11,13 +11,17 @@ at every lattice node.
 
 Two solvers carry the rest: algebra_closure, which generates an algebra
 from matrices, and one null-space routine, which finds the elements of a
-span that commute with given test matrices.  Centres solve it on the
-algebra's own basis; commutants solve it on all D^2 matrix units, so
-they stay off the synthesis path: a reduction onto local legs is the
-closure of the blocks of its basis over the rest legs, with no Schmidt
-SVD and no double commutant.  Minimal central projectors and the
-Wedderburn form of a factor both read one spectral decomposition of a
-generic element.
+span that commute with given test matrices.  Centres solve it in the
+algebra's own coordinates, a 2k x k map for k basis elements (all of
+M_D has the scalars as centre, read from k = D^2); commutants solve it
+on all D^2 matrix units, so they stay off the synthesis path: a
+reduction onto local legs is the closure of the blocks of its basis
+over the rest legs, with no Schmidt SVD and no double commutant.  The
+factor test runs on an isomorphic compression of the algebra to the
+cyclic subspace of a generic vector, n min(n, m) dimensions for an
+image of M_n x 1_m.  Minimal central projectors and the Wedderburn
+form of a factor both read one spectral decomposition of a generic
+element.
 
 The gate-splitting step has one path.  algebraic_lemma and sectorize
 share the layout, commutation and support checks and the reductions
@@ -35,7 +39,9 @@ with probability 1 (their commutant is the algebra's commutant), and
 commutation and support are bilinear or linear conditions, so a pair
 that passes them makes them hold on the whole span.  A degenerate draw
 can only make a centre or commutant too large, which refuses a factor
-or fails a later verification; it never produces a wrong success.
+or fails a later verification; it never produces a wrong success.  The
+factor test's vector comes from the same seed; a degenerate one fails
+the compression's checks, and the test runs on the algebra itself.
 
 Numerical policy: rank decisions read singular values and right vectors
 only (a tall matrix goes through its QR factor R first, so no left
@@ -77,18 +83,7 @@ _GENERIC_SEED = 0
 
 def matrix_units(d: int) -> list[np.ndarray]:
     """The d^2 standard matrix units E_ij in row-major (i, j) order."""
-    units = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
-
-
-def _vec(mats: np.ndarray) -> np.ndarray:
-    k = mats.shape[0]
-    return mats.reshape(k, -1)
+    return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
 def _row_space(m) -> tuple[np.ndarray, np.ndarray]:
@@ -109,8 +104,7 @@ def orthonormalize(mats, floor=0.0) -> np.ndarray:
     """Orthonormal basis (stacked, shape (r, D, D)) for the span.
 
     Keeps singular directions with s > max(SVD_RANK_REL * s_max, floor)
-    * sqrt(n)
-    where n is the larger dimension of the stacked coefficient matrix.
+    * sqrt(n), n the larger dimension of the stacked coefficient matrix.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim == 2:
@@ -118,7 +112,7 @@ def orthonormalize(mats, floor=0.0) -> np.ndarray:
     if mats.shape[0] == 0:
         return mats.reshape(0, *mats.shape[1:])
     d = mats.shape[1]
-    m = _vec(mats)
+    m = mats.reshape(len(mats), -1)
     s, vh = _row_space(m)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, d, d), dtype=complex)
@@ -147,7 +141,8 @@ class MatrixSubalgebra:
         return self.basis.shape[0]
 
     def coefficients(self, mat) -> np.ndarray:
-        return _vec(self.basis).conj() @ np.asarray(mat, complex).reshape(-1)
+        return self.basis.reshape(self.dim, -1).conj() @ \
+            np.asarray(mat, complex).reshape(-1)
 
     def project(self, mat) -> np.ndarray:
         coeff = self.coefficients(mat)
@@ -213,8 +208,8 @@ def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
     basis = mult
     while basis.shape[0] < d * d:
         prods = (mult[:, None] @ basis[None]).reshape(-1, d, d)
-        vb = _vec(basis)
-        vp = _vec(prods)
+        vb = basis.reshape(len(basis), -1)
+        vp = prods.reshape(len(prods), -1)
         resid = vp - (vp @ vb.conj().T) @ vb
         floor = SVD_RANK_REL * np.linalg.norm(vp, axis=1).max()
         new = orthonormalize(resid.reshape(-1, d, d), floor=floor)
@@ -227,22 +222,22 @@ def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
 def _commuting_part(basis, test) -> np.ndarray:
     """Orthonormal basis of the elements of span(basis) that commute
     with every matrix in ``test``, as the null space of the stacked
-    commutator map in basis coordinates."""
-    rows = []
-    for g in test:
-        block = np.stack([b @ g - g @ b for b in basis])
-        rows.append(_vec(block).T)
-    m = np.concatenate(rows, axis=0)
-    # m has >= len(basis) rows, so the reduced vh still spans every
-    # coefficient direction
-    s, vh = _row_space(m)
+    commutator map in basis coordinates; the span must be an algebra
+    holding the test matrices (see centre).  A basis of all D^2 matrices
+    takes the matrix entries as its coordinates."""
+    (k, d), t = basis.shape[:2], len(test)
+    test = np.asarray(test)
+    comm = (basis[None] @ test[:, None] - test[:, None] @ basis[None]
+            ).reshape(t, k, d * d)
+    if k < d * d:
+        comm = comm @ basis.reshape(k, -1).conj().T
+    s, vh = _row_space(comm.transpose(0, 2, 1).reshape(-1, k))
     # the floor at the test elements' scale keeps rounding-noise
     # commutators (a conjugated scalar algebra) from counting as rank
     floor = SVD_RANK_REL * max(np.linalg.norm(g) for g in test)
-    cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
+    cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(t * d * d, k))
     rank = int(np.sum(~(s <= cut)))
-    coeffs = vh[rank:].conj()
-    return orthonormalize(np.tensordot(coeffs, basis, axes=(1, 0)))
+    return np.tensordot(vh[rank:].conj(), basis, axes=(1, 0))
 
 
 def commutant_of(mats, ambient: TensorSpace) -> MatrixSubalgebra:
@@ -267,14 +262,48 @@ def commutant(S: MatrixSubalgebra) -> MatrixSubalgebra:
 
 
 def centre(S: MatrixSubalgebra) -> MatrixSubalgebra:
-    """Elements of S commuting with all of S, solved in S coordinates."""
+    """Elements of S commuting with all of S, solved in S coordinates.
+
+    The commutators of S with its test elements lie in S, where the
+    orthonormal basis keeps their norms: the 2k x k map has the singular
+    values and null space of the 2D^2 x k map on matrix entries.  An
+    algebra with D^2 basis elements is all of M_D, centre the scalars."""
     if S.dim == 0:
         raise InputError("centre of an empty algebra")
+    if S.dim == S.ambient.total_dim ** 2:
+        require_finite(S.basis, "a centre")
+        return MatrixSubalgebra.scalars(S.ambient)
     return MatrixSubalgebra(S.ambient,
                             _commuting_part(S.basis, S.test_elements()))
 
 
 def is_factor(S: MatrixSubalgebra) -> bool:
+    """Whether S has a trivial centre, read on the span K of b_i v for a
+    generic v drawn from _GENERIC_SEED.  K is S-invariant and S is
+    *-closed, so x -> q^dag x q (q an orthonormal basis of K) is a
+    *-homomorphism, and an isomorphism with the same centre when the
+    compressed span keeps dimension S.dim.  Both facts are checked
+    (invariance to RESIDUAL_TOL); if either fails, or K is C^D, the test
+    runs on S itself.  M_n x 1_m compresses to n min(n, m) dimensions."""
+    rng = np.random.default_rng(_GENERIC_SEED)
+    d = S.ambient.total_dim
+    return _factor_at(S, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+
+def _factor_at(S: MatrixSubalgebra, v) -> bool:
+    """is_factor on the cyclic subspace of the vector v."""
+    w = S.basis @ v
+    s, vh = _row_space(w)
+    r = int(np.sum(s > SVD_RANK_REL * s.max(initial=0.0)
+                   * np.sqrt(max(w.shape))))
+    if 0 < r < S.ambient.total_dim:
+        q = vh[:r].T
+        bq = S.basis @ q
+        small = dagger(q) @ bq
+        leak = np.linalg.norm(bq - q @ small) / np.linalg.norm(bq)
+        basis = orthonormalize(small)
+        if leak <= RESIDUAL_TOL and basis.shape[0] == S.dim:
+            S = MatrixSubalgebra(TensorSpace((("v", r),)), basis)
     return centre(S).dim == 1
 
 

@@ -71,20 +71,6 @@ class DecompositionReport:
     per_node_diagnostics: tuple = ()
 
 
-def equal_up_to_global_phase(P, Q, tol=None) -> bool:
-    """Whether min over phases of ||P - exp(i t) Q||_F is within tol.
-
-    The minimizing phase is the argument of tr(Q^dag P); tol defaults
-    to 1e-8 sqrt(dim).
-    """
-    P = np.asarray(P, dtype=complex)
-    Q = np.asarray(Q, dtype=complex)
-    if P.shape != Q.shape:
-        raise InputError(f"shape mismatch {P.shape} vs {Q.shape}")
-    return _phase_residual(P, Q) <= \
-        (RECOMPOSE_TOL * np.sqrt(P.shape[0]) if tol is None else tol)
-
-
 def _phase_residual(P, Q) -> float:
     t = np.trace(dagger(Q) @ P)
     phase = t / abs(t) if abs(t) > 0 else 1.0

@@ -3,7 +3,8 @@
 Every operator in this package acts on an ordered tensor product of
 labeled finite-dimensional factors ("legs").  Keeping the order explicit
 in a small value type lets the rest of the code move operators between
-leg frames with permutation matrices instead of error-prone manual index
+leg frames by reshaping and transposing their legs (or by permutation
+matrices, where a caller needs one) instead of error-prone manual index
 arithmetic.
 
 Conventions: vectors use the lexicographic product basis of the factor
@@ -123,6 +124,15 @@ class TensorSpace:
 
     # -- embeddings and reductions ---------------------------------------
 
+    def _transposed(self, mat, src, dst) -> np.ndarray:
+        """A D x D matrix with legs in order ``src``, rewritten with legs
+        in order ``dst`` (both orderings of all labels) by one reshape
+        and one transpose."""
+        axes = [tuple(src).index(l) for l in dst]
+        moved = mat.reshape([self.dim(l) for l in src] * 2).transpose(
+            axes + [a + len(axes) for a in axes])
+        return moved.reshape(self.total_dim, self.total_dim)
+
     def embed(self, op, labels) -> np.ndarray:
         """Extend an operator on the named legs (in that order) by identity."""
         op = _as_complex(op)
@@ -131,24 +141,19 @@ class TensorSpace:
             raise InputError(
                 f"operator shape {op.shape} does not match legs {labels} "
                 f"of dimension {sub.total_dim}")
-        rest = self.complement(labels)
-        d_rest = 1
-        for l in rest:
-            d_rest *= self.dim(l)
-        perm, _ = self.front_permutation(labels)
-        big = np.kron(op, np.eye(d_rest))
-        return perm.conj().T @ big @ perm
+        dr = self.total_dim // sub.total_dim
+        big = np.zeros((sub.total_dim, dr) * 2, dtype=complex)
+        big[:, np.arange(dr), :, np.arange(dr)] = op
+        order = tuple(labels) + self.complement(labels)
+        return self._transposed(big, order, self.labels)
 
     def partial_trace(self, mat, keep_labels) -> np.ndarray:
         """Trace out all legs except ``keep_labels`` (result in that order)."""
         mat = _as_complex(mat)
-        perm, sub = self.front_permutation(keep_labels)
-        m = perm @ mat @ perm.conj().T
-        dk = 1
-        for l in keep_labels:
-            dk *= self.dim(l)
+        dk = self.subspace(keep_labels).total_dim
+        order = tuple(keep_labels) + self.complement(keep_labels)
         dr = self.total_dim // dk
-        m4 = m.reshape(dk, dr, dk, dr)
+        m4 = self._transposed(mat, self.labels, order).reshape(dk, dr, dk, dr)
         return np.einsum("irjr->ij", m4)
 
     def restrict(self, mat, labels):
@@ -159,10 +164,7 @@ class TensorSpace:
         what residual counts as supported.
         """
         mat = _as_complex(mat)
-        dk = 1
-        for l in labels:
-            dk *= self.dim(l)
-        dr = self.total_dim // dk
+        dr = self.total_dim // self.subspace(labels).total_dim
         small = self.partial_trace(mat, labels) / dr
         rebuilt = self.embed(small, labels)
         norm = np.linalg.norm(mat)

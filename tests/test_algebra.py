@@ -22,6 +22,7 @@ from causaldeco.algebra import (
     MatrixSubalgebra,
     SectorObstruction,
     UnitaryIso,
+    _factor_at,
     _sectors_of_reductions,
     algebra_closure,
     _row_space,
@@ -570,6 +571,100 @@ def test_block_algebra_properties(blocks, out_dims, betas, seed):
         assert img.contains(U.heisenberg(outs.embed(e, betas)))
 
 
+def oracle_centre_dim(S):
+    """The former centre solve: the null space of the stacked commutator
+    map on all D^2 matrix entries, by a plain SVD, with the same cut."""
+    test = S.test_elements()
+    m = np.concatenate([np.stack([b @ g - g @ b for b in S.basis])
+                        .reshape(S.dim, -1).T for g in test])
+    s = np.linalg.svd(m, compute_uv=False)
+    floor = 1e-9 * max(np.linalg.norm(g) for g in test)
+    cut = max(1e-9 * s[0], floor) * np.sqrt(max(m.shape))
+    return S.dim - int(np.sum(s > cut))
+
+
+@st.composite
+def block_and_image_algebras(draw):
+    """A hidden block algebra, or the Heisenberg image of a Haar channel
+    on an output leg of dim d_b beside a leg of dim d_r: d_b^2 sits
+    below, at or above D = d_b d_r as d_b < d_r, = d_r or > d_r."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        blocks = draw(BLOCKS)
+        D = sum(d * m for d, m in blocks)
+        return block_algebra(blocks, haar_unitary(D, rng))
+    d_b, d_r = draw(st.sampled_from(
+        [(1, 3), (2, 4), (2, 3), (2, 2), (3, 3), (3, 2), (4, 2), (3, 1)]))
+    outs = space(("b", d_b), ("r", d_r))
+    D = outs.total_dim
+    return heisenberg_image(
+        UnitaryChannel(haar_unitary(D, rng), space(("a", D)), outs), ["b"])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(S=block_and_image_algebras())
+def test_centre_and_factor_match_entry_solve(S):
+    # the centre in the algebra's own coordinates, and the factor test
+    # on the cyclic subspace of a generic vector, against the solve on
+    # all D^2 matrix entries
+    expected = oracle_centre_dim(S)
+    assert centre(S).dim == expected
+    assert is_factor(S) == (expected == 1)
+
+
+def centre_ambients(S, call):
+    """call(S), and the ambient dims of the algebras centre was run on."""
+    dims = []
+
+    def spy(alg):
+        dims.append(alg.ambient.total_dim)
+        return centre(alg)
+    with mock.patch.object(algebra_module, "centre", spy):
+        return call(S), dims
+
+
+def test_factor_test_runs_on_the_cyclic_subspace():
+    # M_2 x 1_4 compresses to M_2 x 1_2 on the 4-dim span of b_i v; a
+    # block algebra M_1 x 1_3 + M_2 x 1_3 to M_1 + M_2 x 1_2 on 5 dims
+    rng = np.random.default_rng(5)
+    outs = space(("b", 2), ("r", 4))
+    img = heisenberg_image(
+        UnitaryChannel(haar_unitary(8, rng), space(("a", 8)), outs), ["b"])
+    assert centre_ambients(img, is_factor) == (True, [4])
+    S = block_algebra([(1, 3), (2, 3)], haar_unitary(9, rng))
+    assert centre_ambients(S, is_factor) == (False, [5])
+
+
+def test_factor_test_falls_back_on_a_degenerate_vector():
+    # v on the first block of M_2 + M_2 spans a 2-dim subspace where the
+    # compression is M_2, a factor of dim 4 < 8: the dimension check
+    # refuses it and the test runs on S itself
+    S = block_algebra([(2, 1), (2, 1)], np.eye(4))
+    v = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
+    assert centre_ambients(S, lambda S: _factor_at(S, v)) == (False, [4])
+    # an empty basis spans nothing either, and its centre is refused
+    with pytest.raises(InputError, match="empty"):
+        is_factor(MatrixSubalgebra(space(("q", 2)), np.zeros((0, 2, 2))))
+
+
+def test_factor_test_never_forms_a_d_squared_map(monkeypatch):
+    # the image of a 4-dim output leg at D=128 is tested on 16 dims: no
+    # rank decision sees a matrix with D^2 rows or columns
+    rng = np.random.default_rng(0)
+    outs = space(("b", 4), ("r", 32))
+    img = heisenberg_image(
+        UnitaryChannel(haar_unitary(128, rng), space(("a", 128)), outs), ["b"])
+    shapes = []
+
+    def recording(m):
+        shapes.append(np.shape(m))
+        return _row_space(m)
+    monkeypatch.setattr(algebra_module, "_row_space", recording)
+    assert is_factor(img)
+    assert shapes
+    assert all(128 ** 2 not in shape for shape in shapes), shapes
+
+
 @st.composite
 def leg_algebras(draw):
     """Ambient legs of dims 2-3 and maybe one of dim 1, a target in any
@@ -671,15 +766,21 @@ def test_non_finite_rank_input_raises():
     script = textwrap.dedent("""
         import numpy as np
         from causaldeco.algebra import (MatrixSubalgebra, algebra_closure,
-                                        centre, orthonormalize)
+                                        centre, is_factor, matrix_units,
+                                        orthonormalize)
         from causaldeco.errors import NumericsError
         from causaldeco.tensorspace import TensorSpace
         amb = TensorSpace((("a", 2),))
         for bad in (np.inf, np.nan):
             m = np.array([[bad, 0], [0, 1]], dtype=complex)
+            # a full basis of M_2 takes the centre's integer shortcut
+            units = np.stack(matrix_units(2))
+            units[3, 1, 1] = bad
             calls = (lambda: orthonormalize(m),
                      lambda: algebra_closure(amb, [m]),
-                     lambda: centre(MatrixSubalgebra(amb, m[None])))
+                     lambda: centre(MatrixSubalgebra(amb, m[None])),
+                     lambda: is_factor(MatrixSubalgebra(amb, m[None])),
+                     lambda: centre(MatrixSubalgebra(amb, units)))
             for call in calls:
                 try:
                     call()
@@ -692,7 +793,7 @@ def test_non_finite_rank_input_raises():
                          text=True, timeout=60,
                          env=source_env())
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["refused"] * 6
+    assert out.stdout.split() == ["refused"] * 10
 
 
 def test_non_finite_svd_input_raises():

@@ -8,8 +8,7 @@ from causaldeco.algebra import SectorObstruction
 from causaldeco.causal import UnitaryChannel, causal_structure
 from causaldeco.circuits import Circuit, compose_matrix, random_circuit_unitary
 from causaldeco.decompose import INCLUSION_TOL, RECOMPOSE_TOL, \
-    DecompositionReport, decompose, equal_up_to_global_phase, \
-    verify_decomposition
+    DecompositionReport, _phase_residual, decompose, verify_decomposition
 from causaldeco.errors import InputError, NumericsError
 from causaldeco.gallery import build_counterexample, obstruction_witness, u3
 from causaldeco.lattice import build_concept_lattice
@@ -45,6 +44,20 @@ def swap_channel():
             m[2 * j + i, 2 * i + j] = 1.0
     return UnitaryChannel(m, TensorSpace((("a1", 2), ("a2", 2))),
                           TensorSpace((("b1", 2), ("b2", 2))))
+
+
+def equal_up_to_global_phase(P, Q, tol=None) -> bool:
+    """Whether min over phases of ||P - exp(i t) Q||_F is within tol.
+
+    The minimizing phase is the argument of tr(Q^dag P); tol defaults
+    to 1e-8 sqrt(dim).
+    """
+    P = np.asarray(P, dtype=complex)
+    Q = np.asarray(Q, dtype=complex)
+    if P.shape != Q.shape:
+        raise InputError(f"shape mismatch {P.shape} vs {Q.shape}")
+    return _phase_residual(P, Q) <= \
+        (RECOMPOSE_TOL * np.sqrt(P.shape[0]) if tol is None else tol)
 
 
 def test_phase_equality_accepts_global_phase():

@@ -15,8 +15,9 @@ span that commute with given test matrices.  Centres solve it in the
 algebra's own coordinates, a 2k x k map for k basis elements (all of
 M_D has the scalars as centre, read from k = D^2); commutants solve it
 on all D^2 matrix units, so they stay off the synthesis path: a
-reduction onto local legs is the closure of the blocks of its basis
-over the rest legs, with no Schmidt SVD and no double commutant.  The
+reduction onto local legs is the closure of the blocks, over the rest
+legs, of a few generic elements (of the basis when it is no larger),
+with no Schmidt SVD and no double commutant.  The
 factor test runs on an isomorphic compression of the algebra to the
 cyclic subspace of a generic vector, n min(n, m) dimensions for an
 image of M_n x 1_m.  Minimal central projectors and the Wedderburn
@@ -34,7 +35,8 @@ Determinism: every routine that draws random elements takes a seed and
 uses its own generator, so repeated runs give identical results.  The
 hypothesis checks (centre, commutant, pairwise commutation, support)
 test two generic Hermitian elements of each algebra, drawn from the
-fixed seed _GENERIC_SEED.  A generic pair generates the whole algebra
+fixed seed _GENERIC_SEED; a reduction's generic elements continue the
+same sequence.  A generic pair generates the whole algebra
 with probability 1 (their commutant is the algebra's commutant), and
 commutation and support are bilinear or linear conditions, so a pair
 that passes them makes them hold on the whole span.  A degenerate draw
@@ -167,9 +169,7 @@ class MatrixSubalgebra:
     def test_elements(self) -> np.ndarray:
         """Two generic Hermitian elements of the span, drawn from
         _GENERIC_SEED; they generate the algebra with probability 1."""
-        rng = np.random.default_rng(_GENERIC_SEED)
-        return np.stack([_random_hermitian(self.basis, rng)
-                         for _ in range(2)])
+        return _generic_elements(self.basis, 2)
 
     @classmethod
     def full(cls, ambient: TensorSpace) -> "MatrixSubalgebra":
@@ -325,6 +325,14 @@ def _random_hermitian(basis, rng) -> np.ndarray:
     return (h + dagger(h)) / 2.0
 
 
+def _generic_elements(basis, count) -> np.ndarray:
+    """``count`` generic Hermitian elements of span(basis), drawn from
+    _GENERIC_SEED in one sequence, so the first two are always the pair
+    test_elements draws."""
+    rng = np.random.default_rng(_GENERIC_SEED)
+    return np.stack([_random_hermitian(basis, rng) for _ in range(count)])
+
+
 def _spectral_projectors(S: MatrixSubalgebra, rng, count):
     """Spectral projectors of a generic Hermitian element of S.
 
@@ -474,13 +482,14 @@ def factorize_factor(B: MatrixSubalgebra, seed=0):
     return iso, d, m
 
 
-def _check_pairwise_commuting(bs):
+def _check_pairwise_commuting(tests):
+    """Raise unless the algebras whose test_elements pairs are ``tests``
+    commute pairwise."""
     # every algebra draws from the same seed, so x_k and y_k may share
     # coefficients; the cross pairs (x_1, y_2) and (x_2, y_1) are
     # independent draws, which is what the bilinear argument needs
-    tests = [b.test_elements() for b in bs]
-    for i in range(len(bs)):
-        for j in range(i + 1, len(bs)):
+    for i in range(len(tests)):
+        for j in range(i + 1, len(tests)):
             for x in tests[i]:
                 nx = np.linalg.norm(x)
                 for y in tests[j]:
@@ -515,7 +524,7 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None, seed=0):
     for b in bs:
         if b.ambient.total_dim != ambient.total_dim:
             raise InputError("algebras live on different ambient dimensions")
-    _check_pairwise_commuting(bs)
+    _check_pairwise_commuting([b.test_elements() for b in bs])
     n = len(bs)
     D = ambient.total_dim
     v_tot = np.eye(D, dtype=complex)
@@ -555,25 +564,36 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None, seed=0):
 def reduce_onto_legs(B: MatrixSubalgebra, target_labels) -> MatrixSubalgebra:
     """Smallest algebra C on the target legs with B inside L(rest) x C.
 
-    With each basis element written as sum_ij |i><j| x X_ij over the
-    rest legs, B lies in L(rest) x C exactly when every block X_ij does.
-    One transpose lays out all blocks of the basis on the target legs in
-    the requested order; they span the elements' operator-Schmidt right
-    factors, so one orthonormalisation of the stack, with no Schmidt
-    SVD, seeds the closure.  The blocks of a *-algebra span a *-closed
-    set containing the identity, and in finite dimensions the algebra
-    it generates is its double commutant (von Neumann), so the closure
-    is the bicommutant with no commutant solve.
+    With a matrix written as sum_ij |i><j| x X_ij over the rest legs, B
+    lies in L(rest) x C exactly when the blocks X_ij of its elements do.
+    The closure is seeded from the blocks of n = max(2, ceil(d_t^2 /
+    d_rest^2)) generic Hermitian elements of B (the first two are the
+    pair test_elements draws), enough blocks to span all of M_{d_t};
+    when n >= B.dim it takes the blocks of B's basis instead.  Why the
+    closure C' of those blocks is C:
+    - the blocks of x and y lie in C', so x, y are in L(rest) x C', an
+      algebra; hence alg(x, y) is inside it too;
+    - a generic pair generates B with probability 1 (the assumption the
+      hypothesis checks make), so B is inside L(rest) x C' and C' = C;
+    - a degenerate draw can only shrink C'; the lemma's integer spanning
+      test and the 1e-8 sqrt(D) recomposition gate then refuse, so it
+      never passes a wrong split.
+    The blocks of a *-algebra's elements generate it as an algebra, and
+    in finite dimensions that is its double commutant (von Neumann), so
+    no commutant solve is needed.
     """
     ambient = B.ambient
     target_labels = list(target_labels)
     target_space = ambient.subspace(target_labels)
     d_t = target_space.total_dim
-    n = len(ambient.labels)
+    d_rest = ambient.total_dim // d_t
+    n = max(2, -(-d_t * d_t // (d_rest * d_rest)))
+    mats = B.basis if n >= B.dim else _generic_elements(B.basis, n)
+    k = len(ambient.labels)
     legs = [[1 + ambient.index(l) for l in ls]
             for ls in (ambient.complement(target_labels), target_labels)]
-    axes = [0] + [a + shift for ls in legs for shift in (0, n) for a in ls]
-    blocks = B.basis.reshape((B.dim,) + ambient.dims * 2).transpose(axes)
+    axes = [0] + [a + shift for ls in legs for shift in (0, k) for a in ls]
+    blocks = mats.reshape((len(mats),) + ambient.dims * 2).transpose(axes)
     return algebra_closure(target_space,
                            orthonormalize(blocks.reshape(-1, d_t, d_t)))
 
@@ -653,10 +673,11 @@ def _shared_leg_reductions(a_labels, x_legs, bs):
             if l in seen:
                 raise InputError(f"X leg {l!r} assigned to two algebras")
             seen.add(l)
-    _check_pairwise_commuting(bs)
-    for k, b in enumerate(bs):
+    pairs = [b.test_elements() for b in bs]
+    _check_pairwise_commuting(pairs)
+    for k, pair in enumerate(pairs):
         allowed = a_labels + list(x_legs[k])
-        for mat in b.test_elements():
+        for mat in pair:
             _, resid = ambient.restrict(mat, allowed)
             if not resid <= GENERIC_RESIDUAL_TOL:
                 raise NumericsError(
@@ -683,7 +704,7 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
     """The sector split of the reductions onto the shared legs of
     algebras that passed _shared_leg_reductions' checks."""
     d_a = a_space.total_dim
-    _check_pairwise_commuting(reduced)
+    _check_pairwise_commuting([r.test_elements() for r in reduced])
     rng = np.random.default_rng(seed)
     per_alg = [minimal_central_projectors(r, seed=int(rng.integers(0, 2**31)))
                for r in reduced]

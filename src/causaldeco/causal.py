@@ -17,6 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -124,23 +125,40 @@ def matrix_to_cells(mat) -> list:
             for row in np.asarray(mat)]
 
 
+def _numbers_only(types) -> bool:
+    # bool is an int subclass and would read as 0 or 1
+    return types <= {int, float} or all(
+        issubclass(t, (int, float, np.integer, np.floating))
+        and not issubclass(t, bool) for t in types)
+
+
 def matrix_from_cells(rows, dout, din) -> np.ndarray:
+    """A dout x din complex matrix from rows of [re, im] number pairs.
+
+    Bools and numeric strings raise InputError instead of reading as 0,
+    1 or the number they spell.
+    """
     if not isinstance(rows, list) or len(rows) != dout or not all(
             isinstance(row, list) and len(row) == din for row in rows):
         raise InputError(f"matrix must have {dout} rows of {din} cells")
-    mat = np.empty((dout, din, 2))
-    # row by row: converting all at once holds bookkeeping for every cell
+    mat = np.empty((dout, din * 2))
+    # row by row: one length check on the cells and one type check on
+    # their entries, then one conversion of the row's flat entries
     for i, row in enumerate(rows):
         try:
-            cells = np.asarray(row, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"matrix row {i}: entries must be [re, im] "
-                             f"number pairs ({exc})") from exc
-        if cells.shape != (din, 2):
+            pairs = set(map(len, row)) <= {2}
+        except TypeError:
+            pairs = False
+        flat = list(chain.from_iterable(row)) if pairs else []
+        if not (pairs and _numbers_only(set(map(type, flat)))):
             raise InputError(f"matrix row {i}: entries must be [re, im] "
                              f"number pairs")
-        mat[i] = cells
-    return mat.view(complex)[..., 0]
+        try:
+            mat[i] = np.fromiter(flat, dtype=float, count=2 * din)
+        except OverflowError as exc:
+            raise InputError(f"matrix row {i}: entry out of float range "
+                             f"({exc})") from exc
+    return mat.view(complex)
 
 
 def unitary_to_json(U: UnitaryChannel) -> str:

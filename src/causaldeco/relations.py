@@ -307,6 +307,12 @@ def relation_from_json(data) -> Relation:
         if (not isinstance(item, (list, tuple)) or len(item) != 2):
             raise InputError(f"malformed pair {item!r}")
         pairs.append((item[0], item[1]))
+    # labels are JSON strings; str() would read [] or true as a label,
+    # and an unhashable one could not be put in the pair set
+    for label in itertools.chain(data["inputs"], data["outputs"], *pairs):
+        if not isinstance(label, str):
+            raise InputError(f"relation labels must be strings, got "
+                             f"{label!r}")
     return Relation(tuple(data["inputs"]), tuple(data["outputs"]),
                     frozenset(pairs))
 

@@ -327,12 +327,26 @@ def test_split_last_leg_absorbs_multiplicity():
         assert resid < 1e-8
 
 
+def closure_of_all_blocks(B, target):
+    """The reduction by the former route: the closure of the blocks,
+    over the rest legs, of every basis element of B."""
+    amb = B.ambient
+    p = amb.permutation_to(list(amb.complement(target)) + list(target))
+    d_t = amb.subspace(target).total_dim
+    d_r = amb.total_dim // d_t
+    blocks = [(p @ b @ p.T).reshape(d_r, d_t, d_r, d_t)[i, :, j, :]
+              for b in B.basis for i in range(d_r) for j in range(d_r)]
+    return algebra_closure(amb.subspace(target),
+                           orthonormalize(np.stack(blocks)))
+
+
 def test_reduce_onto_legs():
     amb = space(("a", 2), ("x", 2))
     full_a = algebra_closure(amb, [np.kron(e, np.eye(2))
                                    for e in matrix_units(2)])
     red = reduce_onto_legs(full_a, ["a"])
     assert red.dim == 4
+    assert red.same_span(closure_of_all_blocks(full_a, ["a"]))
     # Correlated generator Z(x)X reduces to the diagonal algebra on a:
     # hand computation via its Schmidt factors {1, Z}.
     corr = algebra_closure(amb, [np.kron(SZ, SX)])
@@ -340,13 +354,28 @@ def test_reduce_onto_legs():
     assert red2.dim == 2
     assert red2.contains(np.diag([1.0, -1.0]))
     assert not red2.contains(SX)
+    assert red2.same_span(closure_of_all_blocks(corr, ["a"]))
     # |0><0| x Z + |1><1| x X: the Schmidt factors span {1, Z, X} only,
     # and their products complete it to all of M2 on x
     p0 = np.diag([1.0, 0.0])
     sectors = algebra_closure(amb, [np.kron(p0, SZ),
                                     np.kron(np.eye(2) - p0, SX)])
     assert sectors.dim == 4
-    assert reduce_onto_legs(sectors, ["x"]).dim == 4
+    red3 = reduce_onto_legs(sectors, ["x"])
+    assert red3.dim == 4
+    assert red3.same_span(closure_of_all_blocks(sectors, ["x"]))
+    # a large algebra on small target legs takes the generic route:
+    # M_2 x 1 x M_2 on (a, y, x) reduced onto x, n = 2 < dim 16
+    amb3 = space(("a", 2), ("y", 2), ("x", 2))
+    big = algebra_closure(amb3, [amb3.embed(m, ["a", "x"])
+                                 for m in matrix_units(4)])
+    assert big.dim == 16
+    with mock.patch.object(algebra_module, "_generic_elements",
+                           wraps=algebra_module._generic_elements) as draw:
+        red4 = reduce_onto_legs(big, ["x"])
+    assert [c.args[1] for c in draw.call_args_list] == [2]
+    assert red4.dim == 4
+    assert red4.same_span(closure_of_all_blocks(big, ["x"]))
 
 
 def _diagonal_pair_setup():
@@ -720,15 +749,16 @@ def test_reduction_is_double_commutant_of_schmidt_factors(case):
             g = np.kron(g, f)
         gens.append(g)
     B = algebra_closure(amb, gens)
-    # the former route: the commutant of the Schmidt factors, twice
+    # an older route: the commutant of the Schmidt factors, twice
     rest = [l for l in labels if l not in target]
     ys = [y for b in B.basis for y in amb.schmidt_right_factors(b, rest)]
     p = amb.subspace([l for l in labels if l in target]) \
         .permutation_to(target)
     oracle = commutant(commutant_of([p @ y @ p.T for y in ys],
                                     target_space))
-    # before closing, the orthonormalised blocks already span exactly
-    # the (reordered) Schmidt factors
+    # before closing, the orthonormalised blocks of the seed elements
+    # lie in the span of the (reordered) Schmidt factors; the seed is a
+    # few generic elements, so that span may be larger
     seeds = []
 
     def capture(ambient, mats):
@@ -739,8 +769,9 @@ def test_reduction_is_double_commutant_of_schmidt_factors(case):
     factors = MatrixSubalgebra(target_space,
                                orthonormalize([p @ y @ p.T for y in ys]))
     assert len(seeds) == 1
-    assert MatrixSubalgebra(target_space, seeds[0]).same_span(factors)
+    assert MatrixSubalgebra(target_space, seeds[0]).spans_subspace_of(factors)
     assert reduced.same_span(oracle)
+    assert reduced.same_span(closure_of_all_blocks(B, target))
 
 
 @pytest.mark.parametrize("shape", [(96, 8), (40, 20), (9, 9), (6, 15)])

@@ -1,14 +1,18 @@
 """Command line front end: subcommands, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causaldeco.causal import (INFLUENCE_REL_TOL, UnitaryChannel,
                                causal_structure_report, load_unitary,
@@ -219,7 +223,8 @@ def test_analyze_default_tolerance_is_the_library_one(tmp_path, capsys):
 
 def test_analyze_non_finite_unitary_exits_2(tmp_path, capsys):
     doc = json.loads(unitary_to_json(u3()))
-    doc["matrix"][0][0][0] = "NaN"
+    # json writes and reads a float NaN as the bare literal NaN
+    doc["matrix"][0][0][0] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path), "--json"]) == 2
@@ -257,6 +262,48 @@ def test_analyze_non_integer_dim_exits_2(tmp_path, capsys, dim):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be a positive integer" in captured.err
+
+
+def identity_cells(d, one=1.0, zero=0.0):
+    return [[[one if i == j else zero, zero] for j in range(d)]
+            for i in range(d)]
+
+
+# bools and numeric strings used to convert to 0.0, 1.0 or their value,
+# so a matrix of them loaded as the identity
+NOT_NUMBERS = [{"one": True, "zero": False}, {"one": "1.0", "zero": "0"},
+               {"one": 1.0, "zero": False}, {"one": 10 ** 400, "zero": 0}]
+
+
+@pytest.mark.parametrize("cells", NOT_NUMBERS)
+def test_analyze_non_number_cells_exit_2(tmp_path, capsys, cells):
+    doc = json.loads(unitary_to_json(u3()))
+    doc["matrix"] = identity_cells(len(doc["matrix"]), **cells)
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrix")
+
+
+@pytest.mark.parametrize("cells", NOT_NUMBERS)
+def test_verify_non_number_gate_cells_exit_2(tmp_path, capsys, cells):
+    G = chain2_relation()
+    rel = write_relation(tmp_path / "chain2.json", G)
+    _, U = random_circuit_unitary(G, seed=3)
+    uf = write_unitary(tmp_path / "u.json", U)
+    cf = tmp_path / "circ.json"
+    assert main(["decompose", uf, rel, "--out", str(cf)]) == 0
+    doc = json.loads(cf.read_text())
+    key = next(iter(doc["gates"]))
+    doc["gates"][key] = identity_cells(len(doc["gates"][key]), **cells)
+    cf.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", uf, str(cf), rel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrix")
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch, u3_file):
@@ -383,7 +430,7 @@ def test_verify_non_finite_gate_exits_2(tmp_path, capsys):
     cf = tmp_path / "circ.json"
     assert main(["decompose", uf, rel, "--out", str(cf)]) == 0
     doc = json.loads(cf.read_text())
-    next(iter(doc["gates"].values()))[0][0][0] = "NaN"
+    next(iter(doc["gates"].values()))[0][0][0] = float("nan")
     cf.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", uf, str(cf), rel]) == 2
@@ -590,3 +637,101 @@ def test_console_script_installed(tmp_path, c3_file):
                           timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "Violated" in proc.stdout
+
+
+# -- fuzzed input files ------------------------------------------------------
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 10 ** 400)
+                | st.floats() | st.sampled_from(["a1", "b2", "1", "0.5", ""])
+                | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["label", "dim", "in", "x"])
+                      | st.text(max_size=2), kids, max_size=3),
+    max_leaves=6)
+
+
+def paths(doc, prefix=()):
+    """Every key path into a JSON document, the root included."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with up to three values, at any depth, replaced by fuzz."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(paths(doc))))
+        value = draw(JSON_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return doc
+
+
+def run_cli_on(docs, argv) -> None:
+    """Write each doc to a file named by its key, run the CLI on argv
+    with those names replaced by the file paths, and check that it
+    exits with a documented code and without a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {}
+        for name, doc in docs.items():
+            names[name] = os.path.join(tmp, f"{name}.json")
+            with open(names[name], "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([names.get(a, a) for a in argv])
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+U3_DOC = json.loads(unitary_to_json(u3()))
+FULL_3X3 = relation_to_json(full_relation(("a1", "a2", "a3"),
+                                          ("b1", "b2", "b3")))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(doc=mutated(relation_to_json(overlapping_fans_relation())))
+def test_fuzzed_relation_never_crashes_the_cli(doc):
+    for argv in (["check", "rel", "--json"],
+                 ["lattice", "rel", "--format", "json"]):
+        run_cli_on({"rel": doc}, argv)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(doc=mutated(U3_DOC))
+def test_fuzzed_unitary_never_crashes_the_cli(doc):
+    run_cli_on({"u": doc}, ["analyze", "u", "--json"])
+    run_cli_on({"u": doc, "rel": FULL_3X3}, ["decompose", "u", "rel"])
+
+
+def chain2_circuit_docs():
+    """A chain2 unitary, its relation and the circuit decompose writes
+    for them, as JSON documents."""
+    from causaldeco.circuits import circuit_to_json
+    from causaldeco.decompose import decompose
+    G = chain2_relation()
+    _, U = random_circuit_unitary(G, seed=3)
+    circuit, _ = decompose(U, G)
+    return (json.loads(unitary_to_json(U)), relation_to_json(G),
+            json.loads(circuit_to_json(circuit)))
+
+
+CHAIN2_U, CHAIN2_REL, CHAIN2_CIRCUIT = chain2_circuit_docs()
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(doc=mutated(CHAIN2_CIRCUIT))
+def test_fuzzed_circuit_never_crashes_the_cli(doc):
+    run_cli_on({"u": CHAIN2_U, "circ": doc, "rel": CHAIN2_REL},
+               ["verify", "u", "circ", "rel"])

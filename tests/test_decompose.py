@@ -6,7 +6,8 @@ from hypothesis import given, settings
 
 from causaldeco.algebra import SectorObstruction
 from causaldeco.causal import UnitaryChannel, causal_structure
-from causaldeco.circuits import Circuit, compose_matrix, random_circuit_unitary
+from causaldeco.circuits import (Circuit, compose_matrix,
+                                 random_circuit_unitary, uniform_dims)
 from causaldeco.decompose import INCLUSION_TOL, RECOMPOSE_TOL, \
     DecompositionReport, _phase_residual, decompose, verify_decomposition
 from causaldeco.errors import InputError, NumericsError
@@ -309,6 +310,34 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
         assert calls["compose_matrix"] == 1
 
 
+@pytest.mark.parametrize("pair_too", [False, True])
+def test_degenerate_generic_draw_never_succeeds(monkeypatch, pair_too):
+    # a draw that does not generate the algebra can only shrink the
+    # reductions onto the shared legs, so decompose refuses or raises;
+    # the identity is the most degenerate draw.  Without pair_too the
+    # hypothesis checks keep their generic pair and only the reductions
+    # see the identity.
+    import causaldeco.algebra as algebra
+    draw = algebra._generic_elements
+    if not pair_too:
+        monkeypatch.setattr(algebra.MatrixSubalgebra, "test_elements",
+                            lambda self: draw(self.basis, 2))
+    calls = []
+
+    def identity(basis, count):
+        calls.append(count)
+        return np.stack([np.eye(basis.shape[1], dtype=complex)] * count)
+    monkeypatch.setattr(algebra, "_generic_elements", identity)
+    G = fans_relation()
+    _, ch = random_circuit_unitary(G, seed=0)
+    try:
+        _, report = decompose(ch, G, seed=0)
+    except NumericsError:
+        report = None
+    assert calls
+    assert report is None or report.status != "Success"
+
+
 def test_images_taken_from_the_node_channel(monkeypatch):
     # every image the synthesis forms is of U seen from a node's frame,
     # through the gates already synthesized, never of U on its own legs;
@@ -391,3 +420,20 @@ def test_obstruction_status_reported(monkeypatch):
     assert report.status == "Obstruction"
     assert report.obstruction is sentinel
     assert report.obstruction_node == 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("relation, base", [("chain2", 4), ("fan_in", 3)])
+def test_reference_runs_succeed(relation, base):
+    # the two slowest reference runs (D=64 and D=27), as
+    # `causaldeco roundtrip <relation>.json --dims <base> --trials 1` runs them
+    from causaldeco import relations
+    G = getattr(relations, f"{relation}_relation")()
+    shape = build_concept_lattice(G)
+    in_dims, out_dims, wire_dims = uniform_dims(shape, base)
+    _, U = random_circuit_unitary(shape, seed=0, wire_dims=wire_dims,
+                                  leg_dims={**in_dims, **out_dims})
+    circuit, report = decompose(U, G, seed=0)
+    assert report.status == "Success"
+    assert report.recomposition_residual <= RECOMPOSE_TOL * np.sqrt(U.dim)
+    assert circuit.gates_unitary()

@@ -213,6 +213,34 @@ def test_obstruction_witness_counterexample(counterexample_c3, monkeypatch):
     assert np.allclose(sum(deco.projectors), np.eye(8))
 
 
+def test_obstruction_witness_reduces_from_generic_elements(
+        counterexample_c3, monkeypatch):
+    # the reductions onto P2 (d_t = 8, d_rest = 16) close the blocks of
+    # two generic elements, 2 x 256 of them, not of the 16-element basis
+    # (4096 blocks)
+    import causaldeco.algebra
+    row_space = causaldeco.algebra._row_space
+    reduce = causaldeco.algebra.reduce_onto_legs
+    rows, inside = [], []
+
+    def recording(m):
+        if inside:
+            rows.append(m.shape[0])
+        return row_space(m)
+
+    def reducing(B, target_labels):
+        inside.append(True)
+        try:
+            return reduce(B, target_labels)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(causaldeco.algebra, "_row_space", recording)
+    monkeypatch.setattr(causaldeco.algebra, "reduce_onto_legs", reducing)
+    deco = obstruction_witness(counterexample_c3, C3)
+    assert deco.sectors == ((2, 2), (2, 2))
+    assert rows and max(rows) <= 512, rows
+
+
 @pytest.fixture(scope="module")
 def spectator_pair():
     G4 = Relation(("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"),

@@ -182,6 +182,13 @@ def test_json_round_trip_and_validation():
     with pytest.raises(InputError):
         relation_from_json({"inputs": ["a"], "outputs": ["b"],
                             "pairs": [["a"]]})
+    # labels must be strings: a list could not be hashed into the pair
+    # set, and str() would read true as the label "True"
+    for bad in ({"inputs": ["a"], "outputs": ["b"], "pairs": [[[], "b"]]},
+                {"inputs": [True], "outputs": ["b"], "pairs": []},
+                {"inputs": ["a"], "outputs": [2], "pairs": []}):
+        with pytest.raises(InputError, match="must be strings"):
+            relation_from_json(bad)
 
 
 def test_empty_sides_permitted():

@@ -60,7 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .tensorspace import TensorSpace, dagger, require_finite
+from .tensorspace import (TensorSpace, dagger, require_finite,
+                          unitarity_residual)
 
 SVD_RANK_REL = 1e-9
 COMM_REL_TOL = 1e-9
@@ -69,7 +70,7 @@ RESIDUAL_TOL = 1e-8
 # residuals of what a generic element yields (its spectral projectors,
 # its support) carry the eigensolver's roundoff on top
 GENERIC_RESIDUAL_TOL = RESIDUAL_TOL * 10
-# UnitaryIso accepts ||V^dag V - 1|| up to this times sqrt(dim)
+# UnitaryIso accepts ||V^dag V - 1||_F / sqrt(dim) up to this
 ISO_UNITARITY_TOL = 1e-7
 # a connecting partial isometry needs rank m: sv[m-1] above this * sv[0]
 ISOMETRY_RANK_REL = 1e-8
@@ -385,8 +386,8 @@ class UnitaryIso:
         if self.matrix.shape != (d, d):
             raise InputError(f"matrix shape {self.matrix.shape}, expected "
                              f"({d}, {d})")
-        resid = np.linalg.norm(dagger(self.matrix) @ self.matrix - np.eye(d))
-        if not resid <= ISO_UNITARITY_TOL * np.sqrt(d):
+        resid = unitarity_residual(self.matrix)
+        if not resid <= ISO_UNITARITY_TOL:
             raise NumericsError(f"matrix is not unitary (residual {resid:.2e})")
 
     def conj(self, mat) -> np.ndarray:

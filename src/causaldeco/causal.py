@@ -22,13 +22,15 @@ from itertools import chain
 import numpy as np
 
 from .algebra import MatrixSubalgebra, matrix_units
-from .errors import BorderlineToleranceWarning, InputError, NumericsError
+from .errors import (BorderlineToleranceWarning, InputError, NumericsError,
+                     check_tol, document, read_text)
 from .relations import Relation
-from .tensorspace import DIM_CAP, TensorSpace, dagger
+from .tensorspace import DIM_CAP, TensorSpace, dagger, unitarity_residual
 
 INFLUENCE_REL_TOL = 1e-9
 CHOI_TRACE_TOL = 1e-8
-UNITARITY_TOL = 1e-10
+# UnitaryChannel accepts ||U^dag U - 1||_F / sqrt(dim) up to this
+CHANNEL_UNITARITY_TOL = 1e-8
 
 
 @dataclass
@@ -56,9 +58,8 @@ class UnitaryChannel:
                              f"({dout}, {din})")
         if not np.all(np.isfinite(self.matrix)):
             raise InputError("matrix has non-finite entries")
-        resid = np.linalg.norm(dagger(self.matrix) @ self.matrix
-                               - np.eye(din))
-        if not (resid <= UNITARITY_TOL * np.sqrt(din) * 100):
+        resid = unitarity_residual(self.matrix)
+        if not resid <= CHANNEL_UNITARITY_TOL:
             raise NumericsError(f"matrix is not unitary "
                                 f"(residual {resid:.2e})")
 
@@ -109,8 +110,6 @@ def _space_to_json(space: TensorSpace) -> list:
 
 
 def _space_from_json(items, side) -> TensorSpace:
-    if not isinstance(items, list):
-        raise InputError(f"{side} legs must be a list")
     try:
         factors = tuple((str(it["label"]), it["dim"]) for it in items)
     except (KeyError, TypeError) as exc:
@@ -169,25 +168,20 @@ def unitary_to_json(U: UnitaryChannel) -> str:
 
 
 def unitary_from_json(text: str) -> UnitaryChannel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid unitary JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("unitary JSON must be an object")
-    for key in ("in", "out", "matrix"):
-        if key not in doc:
-            raise InputError(f"unitary JSON missing {key!r}")
+    doc = document(text, "unitary", {"in": list, "out": list, "matrix": list})
     in_space = _space_from_json(doc["in"], "in")
     out_space = _space_from_json(doc["out"], "out")
     mat = matrix_from_cells(doc["matrix"], out_space.total_dim,
                             in_space.total_dim)
-    return UnitaryChannel(mat, in_space, out_space)
+    # a file's non-unitary matrix is malformed input, not a numerical fault
+    try:
+        return UnitaryChannel(mat, in_space, out_space)
+    except NumericsError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def load_unitary(path) -> UnitaryChannel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return unitary_from_json(fh.read())
+    return unitary_from_json(read_text(path))
 
 
 def heisenberg_image(U: UnitaryChannel, betas) -> MatrixSubalgebra:
@@ -312,6 +306,7 @@ def _pair_decision(U: UnitaryChannel, a: str, b: str, raw, rel_tol):
 def influences(U: UnitaryChannel, a: str, b: str,
                rel_tol=INFLUENCE_REL_TOL, warn=True) -> bool:
     """Whether input leg a causally influences output leg b."""
+    check_tol(rel_tol)
     if a not in U.in_space.labels:
         raise InputError(f"unknown input leg {a!r}")
     if b not in U.out_space.labels:
@@ -346,6 +341,7 @@ def causal_structure_report(U: UnitaryChannel,
                             rel_tol=INFLUENCE_REL_TOL) -> CausalReport:
     """Causal structure from one ``_output_leg_norms`` pass per output
     leg, with the raw norm, threshold and borderline flag of each pair."""
+    check_tol(rel_tol)
     by_b = {b: _output_leg_norms(U, b, U.in_space.labels)
             for b in U.out_space.labels}
     pairs, raw_norms, thresholds, borderline = set(), {}, {}, []

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .causal import UnitaryChannel, matrix_from_cells, matrix_to_cells
-from .errors import InputError
+from .errors import InputError, document, read_text
 from .lattice import (ConceptLattice, build_concept_lattice, shape_from_json,
                       shape_to_json)
-from .tensorspace import DIM_CAP, TensorSpace, as_dim, dagger, haar_unitary
+from .tensorspace import (DIM_CAP, TensorSpace, as_dim, haar_unitary,
+                          unitarity_residual)
 
 GATE_UNITARITY_TOL = 1e-9
 # Intermediate contraction frames may exceed the channel cap when gates
@@ -130,24 +131,9 @@ class Circuit:
             raise InputError(f"gates given for unknown nodes {sorted(extra)}")
         self.gates = gates
 
-    def leg_dim(self, leg) -> int:
-        kind, key = leg
-        if kind == "in":
-            return self.in_dims[key]
-        if kind == "out":
-            return self.out_dims[key]
-        return self.wire_dims[tuple(key)]
-
-    def input_legs(self, v: int) -> list[tuple]:
-        return node_input_legs(self.shape, v)
-
-    def output_legs(self, v: int) -> list[tuple]:
-        return node_output_legs(self.shape, v)
-
     def gate_shape(self, v: int) -> tuple[int, int]:
-        din = math.prod(self.leg_dim(l) for l in self.input_legs(v))
-        dout = math.prod(self.leg_dim(l) for l in self.output_legs(v))
-        return (dout, din)
+        return _shape_of(self.shape, v, self.wire_dims, self.in_dims,
+                         self.out_dims)
 
     @property
     def in_space(self) -> TensorSpace:
@@ -168,15 +154,9 @@ class Circuit:
         return math.prod(self.out_dims.values())
 
     def gate_unitarity_residual(self) -> float:
-        """Largest per-gate residual ||g^dag g - 1|| / sqrt(dim).
-
-        Rectangular gates count as infinitely non-unitary; a NaN
-        residual (overflow in g^dag g) is returned as NaN.
-        """
-        if any(g.shape[0] != g.shape[1] for g in self.gates.values()):
-            return float("inf")
-        resids = [np.linalg.norm(dagger(g) @ g - np.eye(g.shape[1]))
-                  / np.sqrt(g.shape[1]) for g in self.gates.values()]
+        """Largest per-gate ``unitarity_residual``: inf if a gate is
+        rectangular, NaN if one reads NaN (np.max keeps a NaN)."""
+        resids = [unitarity_residual(g) for g in self.gates.values()]
         return float(np.max(resids, initial=0.0))
 
     def gates_unitary(self) -> bool:
@@ -379,20 +359,9 @@ def circuit_to_json(circuit: Circuit) -> str:
 
 
 def circuit_from_json(data) -> Circuit:
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid circuit JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError("circuit JSON must be an object")
-    for key in ("in_dims", "out_dims", "wire_dims", "gates"):
-        if key not in data:
-            raise InputError(f"circuit JSON missing {key!r}")
+    data = document(data, "circuit", {"in_dims": dict, "out_dims": dict,
+                                      "wire_dims": dict, "gates": dict})
     shape = shape_from_json(data)
-    for key in ("in_dims", "out_dims", "wire_dims", "gates"):
-        if not isinstance(data[key], dict):
-            raise InputError(f"circuit JSON {key!r} must be an object")
     wire_dims = {}
     for key, d in data["wire_dims"].items():
         try:
@@ -400,8 +369,7 @@ def circuit_from_json(data) -> Circuit:
             wire_dims[(int(u), int(v))] = d
         except (ValueError, AttributeError) as exc:
             raise InputError(f"bad wire key {key!r}") from exc
-    in_dims = dict(data["in_dims"])
-    out_dims = dict(data["out_dims"])
+    in_dims, out_dims = data["in_dims"], data["out_dims"]
     gates = {}
     for key, rows in data["gates"].items():
         try:
@@ -419,5 +387,4 @@ def circuit_from_json(data) -> Circuit:
 
 
 def load_circuit(path) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return circuit_from_json(fh.read())
+    return circuit_from_json(read_text(path))

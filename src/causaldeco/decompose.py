@@ -22,7 +22,7 @@ from .algebra import SectorDecomposition, SectorObstruction, \
 from .causal import UnitaryChannel, causal_structure, heisenberg_image
 from .circuits import Circuit, advance_frame, compose_matrix, \
     fix_gate_phase, gate_legs, start_frame
-from .errors import InputError, NumericsError
+from .errors import InputError, NumericsError, check_tol
 from .lattice import build_concept_lattice, connectivity
 from .relations import C3Witness, Relation, check_c3ep
 
@@ -88,6 +88,7 @@ def verify_decomposition(U: UnitaryChannel, circuit: Circuit,
     (the faithfulness flag).  Failures land in the report; nothing is
     raised for them.
     """
+    check_tol(tol)
     U = U.with_leg_order(sorted(U.in_space.labels),
                          sorted(U.out_space.labels))
     return _verify(U, circuit, G, tol, causal_structure(U))
@@ -172,6 +173,7 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
     Internal consistency failures raise NumericsError.  tol sets the
     residual acceptance threshold of the final verification.
     """
+    check_tol(tol)
     if set(U.in_space.labels) != set(G.inputs) \
             or set(U.out_space.labels) != set(G.outputs):
         raise InputError("channel legs do not match the relation")

@@ -1,8 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks of input.
 
 The CLI maps these onto exit codes: InputError to 2, NumericsError to 3.
 Principled refusals are not exceptions; they travel in report objects.
+Every JSON document comes through ``read_text`` and ``document``, and
+every user tolerance through ``check_tol``: each raises any failure as
+InputError, so malformed input ends as nothing else.
 """
+
+import json
+import numbers
 
 
 class InputError(ValueError):
@@ -17,3 +23,40 @@ class NumericsError(RuntimeError):
 
 class BorderlineToleranceWarning(UserWarning):
     """A decision quantity landed within a factor of ten of its threshold."""
+
+
+def read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def document(data, what: str, fields: dict) -> dict:
+    """``data``, JSON text or an already parsed value, as an object with
+    each key of ``fields`` present and of its type (list or dict).  The
+    parser raises RecursionError on a document nested too deeply."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"invalid {what} JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{what} JSON must be an object")
+    for key, kind in fields.items():
+        if key not in data:
+            raise InputError(f"{what} JSON missing key {key!r}")
+        if not isinstance(data[key], kind):
+            raise InputError(f"{what} JSON key {key!r} must be an "
+                             + ("array" if kind is list else "object"))
+    return data
+
+
+def check_tol(tol) -> None:
+    """Refuse a relative tolerance outside [0, 1).  A NaN or negative one
+    fails every comparison, and at 1 or above a relative residual or
+    commutator cut passes nearly everything."""
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < 1):
+        raise InputError(f"tolerance must be finite and in [0, 1), "
+                         f"got {tol!r}")

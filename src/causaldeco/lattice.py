@@ -20,12 +20,11 @@ Node identity is the sorted alpha tuple; nodes are listed sorted by
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericsError
+from .errors import InputError, NumericsError, document
 from .relations import Relation, children, parents
 
 # Most concepts a lattice may have.  A relation with at most 12 labels on
@@ -348,21 +347,12 @@ def shape_to_json(shape: ConceptLattice) -> dict:
 
 
 def shape_from_json(data) -> ConceptLattice:
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise InputError(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise InputError("shape JSON must be an object")
-    for key in ("inputs", "outputs", "nodes", "covers", "lambda", "mu"):
-        if key not in data:
-            raise InputError(f"shape JSON missing key {key!r}")
+    data = document(data, "shape", {
+        "inputs": list, "outputs": list, "nodes": list, "covers": list,
+        "lambda": dict, "mu": dict})
     try:
-        nodes = [ConceptNode(tuple(nd["alpha"]), tuple(nd["beta"]))
-                 for nd in data["nodes"]]
+        nodes = [ConceptNode(nd["alpha"], nd["beta"]) for nd in data["nodes"]]
         return ConceptLattice(data["inputs"], data["outputs"], nodes,
-                              [tuple(c) for c in data["covers"]],
-                              dict(data["lambda"]), dict(data["mu"]))
-    except (TypeError, KeyError) as e:
+                              data["covers"], data["lambda"], data["mu"])
+    except (TypeError, KeyError, ValueError) as e:
         raise InputError(f"malformed shape JSON: {e}") from e

@@ -21,10 +21,9 @@ insists the answers agree.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
-from .errors import InputError, NumericsError
+from .errors import InputError, NumericsError, document, read_text
 
 
 @dataclass(frozen=True)
@@ -290,18 +289,8 @@ def relation_to_json(G: Relation) -> dict:
 
 
 def relation_from_json(data) -> Relation:
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise InputError(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise InputError("relation JSON must be an object")
-    for key in ("inputs", "outputs", "pairs"):
-        if key not in data:
-            raise InputError(f"relation JSON missing key {key!r}")
-        if not isinstance(data[key], list):
-            raise InputError(f"relation JSON key {key!r} must be a list")
+    data = document(data, "relation",
+                    {"inputs": list, "outputs": list, "pairs": list})
     pairs = []
     for item in data["pairs"]:
         if (not isinstance(item, (list, tuple)) or len(item) != 2):
@@ -318,9 +307,4 @@ def relation_from_json(data) -> Relation:
 
 
 def load_relation(path: str) -> Relation:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from e
-    return relation_from_json(text)
+    return relation_from_json(read_text(path))

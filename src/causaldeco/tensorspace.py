@@ -223,3 +223,13 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 def dagger(mat) -> np.ndarray:
     return np.asarray(mat).conj().T
+
+
+def unitarity_residual(m) -> float:
+    """||M^dag M - 1||_F / sqrt(d) for a d x d array M; inf when M is
+    not square, and NaN when M^dag M holds one (a NaN in M, or an
+    overflow of complex products)."""
+    d = m.shape[1]
+    if m.shape[0] != d:
+        return float("inf")
+    return float(np.linalg.norm(dagger(m) @ m - np.eye(d)) / np.sqrt(d))

@@ -587,6 +587,80 @@ def test_gallery_unknown_name(capsys):
     assert "unknown gallery name" in capsys.readouterr().err
 
 
+# -- tolerances and non-unitary input ------------------------------------
+
+BAD_TOLS = ["inf", "nan", "-1"]
+
+
+def chain2_files(tmp_path, seed=3):
+    """Relation and unitary files for chain2 at ``seed``."""
+    G = chain2_relation()
+    _, U = random_circuit_unitary(G, seed=seed)
+    return (write_relation(tmp_path / "chain2.json", G),
+            write_unitary(tmp_path / f"u{seed}.json", U))
+
+
+def assert_input_error(capsys, *needles):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    for needle in needles:
+        assert needle in captured.err
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_analyze_out_of_range_tol_exits_2(capsys, u3_file, tol):
+    # inf used to report no pairs at all, nan and -1 all nine
+    assert main(["analyze", u3_file, f"--tol={tol}"]) == 2
+    assert_input_error(capsys, "tolerance")
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_decompose_out_of_range_tol_exits_2(tmp_path, capsys, tol):
+    rel, uf = chain2_files(tmp_path)
+    assert main(["decompose", uf, rel, f"--tol={tol}"]) == 2
+    assert_input_error(capsys, "tolerance")
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_verify_out_of_range_tol_exits_2(tmp_path, capsys, tol):
+    # at --tol inf a circuit of another unitary used to verify
+    rel, uf = chain2_files(tmp_path)
+    _, other = chain2_files(tmp_path, seed=4)
+    cf = str(tmp_path / "circ.json")
+    assert main(["decompose", uf, rel, "--out", cf]) == 0
+    capsys.readouterr()
+    assert main(["verify", other, cf, rel, f"--tol={tol}"]) == 2
+    assert_input_error(capsys, "tolerance")
+
+
+def non_unitary_file(tmp_path):
+    doc = json.loads(unitary_to_json(u3()))
+    doc["matrix"][0][0] = [2.0, 0.0]
+    path = tmp_path / "non_unitary.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_non_unitary_matrix_exits_2(tmp_path, capsys):
+    # a matrix in a file is input, so its failing unitarity used to
+    # exit 3 as if the program's own numerics had broken
+    uf = non_unitary_file(tmp_path)
+    full = write_relation(tmp_path / "full.json", full_relation(
+        ("a1", "a2", "a3"), ("b1", "b2", "b3")))
+    assert main(["analyze", uf]) == 2
+    assert_input_error(capsys, "not unitary")
+    assert main(["decompose", uf, full]) == 2
+    assert_input_error(capsys, "not unitary")
+    cf = str(tmp_path / "circ.json")
+    assert main(["decompose", write_unitary(tmp_path / "u3.json", u3()),
+                 full, "--out", cf]) == 0
+    capsys.readouterr()
+    assert main(["verify", uf, cf, full]) == 2
+    assert_input_error(capsys, "not unitary")
+
+
 # -- exit codes and determinism ------------------------------------------
 
 

@@ -1,0 +1,168 @@
+"""The input door: every JSON document is read, parsed and shaped in
+``errors``, and every failure there, or in a loader after it, or in a
+user tolerance, ends as InputError."""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from causaldeco.causal import (causal_structure_report, influences,
+                               load_unitary, unitary_from_json)
+from causaldeco.circuits import (circuit_from_json, load_circuit,
+                                 random_circuit_unitary)
+from causaldeco.decompose import decompose, verify_decomposition
+from causaldeco.errors import InputError, check_tol, document, read_text
+from causaldeco.lattice import (build_concept_lattice, shape_from_json,
+                                shape_to_json)
+from causaldeco.relations import (chain2_relation, load_relation,
+                                  overlapping_fans_relation, relation_from_json,
+                                  relation_to_json)
+from causaldeco.tensorspace import unitarity_residual
+from test_cli import CHAIN2_CIRCUIT, U3_DOC, mutated
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "causaldeco"
+
+FANS_REL = relation_to_json(overlapping_fans_relation())
+FANS_SHAPE = shape_to_json(build_concept_lattice(overlapping_fans_relation()))
+LOADERS = {"relation": (relation_from_json, FANS_REL),
+           "shape": (shape_from_json, FANS_SHAPE),
+           "unitary": (unitary_from_json, U3_DOC),
+           "circuit": (circuit_from_json, CHAIN2_CIRCUIT)}
+FILE_LOADERS = [load_relation, load_unitary, load_circuit]
+
+
+def test_json_is_parsed_only_in_errors():
+    offenders = [p.name for p in sorted(SRC.glob("*.py"))
+                 if p.name != "errors.py" and "json.loads" in p.read_text()]
+    assert offenders == []
+
+
+def test_document_checks_object_keys_and_types():
+    fields = {"xs": list, "m": dict}
+    assert document('{"xs": [], "m": {}}', "test", fields) == \
+        {"xs": [], "m": {}}
+    parsed = {"xs": [1], "m": {"a": 2}, "extra": None}
+    assert document(parsed, "test", fields) is parsed
+    for text, needle in [("{oops", "invalid test JSON"),
+                         ("[]", "must be an object"),
+                         ('{"xs": []}', "missing key 'm'"),
+                         ('{"xs": {}, "m": {}}', "'xs' must be an array"),
+                         ('{"xs": [], "m": []}', "'m' must be an object"),
+                         ("1" * 5000, "invalid test JSON")]:
+        with pytest.raises(InputError, match=needle):
+            document(text, "test", fields)
+
+
+def test_read_text_failures_are_input_errors(tmp_path):
+    with pytest.raises(InputError, match="cannot read"):
+        read_text(tmp_path / "missing.json")
+    with pytest.raises(InputError, match="cannot read"):
+        read_text(tmp_path)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe")
+    for load in FILE_LOADERS:
+        with pytest.raises(InputError, match="cannot read"):
+            load(path)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_deeply_nested_document_is_input_error(name):
+    # the parser raises RecursionError here, which used to escape the
+    # CLI as a traceback with exit code 1
+    load, _ = LOADERS[name]
+    with pytest.raises(InputError, match="invalid"):
+        load("[" * 100_000 + "]" * 100_000)
+
+
+def _fuzz_loader(name, doc):
+    load, _ = LOADERS[name]
+    try:
+        load(json.dumps(doc))
+    except InputError:
+        pass
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(doc=mutated(FANS_REL))
+def test_fuzzed_relation_loads_or_raises_input_error(doc):
+    _fuzz_loader("relation", doc)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(doc=mutated(FANS_SHAPE))
+def test_fuzzed_shape_loads_or_raises_input_error(doc):
+    _fuzz_loader("shape", doc)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(doc=mutated(U3_DOC))
+def test_fuzzed_unitary_loads_or_raises_input_error(doc):
+    _fuzz_loader("unitary", doc)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(doc=mutated(CHAIN2_CIRCUIT))
+def test_fuzzed_circuit_loads_or_raises_input_error(doc):
+    _fuzz_loader("circuit", doc)
+
+
+def _with(doc, **changes):
+    return {**json.loads(json.dumps(doc)), **changes}
+
+
+@pytest.mark.parametrize("changes", [
+    {"covers": [[0]]}, {"covers": [[0, 1, 2]]},
+    {"lambda": ["a"]}, {"mu": [[]]}])
+def test_malformed_shape_fields_are_input_errors(changes):
+    # each of these used to escape as a bare ValueError
+    with pytest.raises(InputError):
+        shape_from_json(_with(FANS_SHAPE, **changes))
+    with pytest.raises(InputError):
+        circuit_from_json(_with(CHAIN2_CIRCUIT, **changes))
+
+
+def test_non_unitary_matrix_is_input_error():
+    doc = json.loads(json.dumps(U3_DOC))
+    doc["matrix"][0][0] = [2.0, 0.0]
+    with pytest.raises(InputError, match="not unitary"):
+        unitary_from_json(json.dumps(doc))
+
+
+def test_unitarity_residual():
+    assert unitarity_residual(np.eye(4)) == 0.0
+    assert unitarity_residual(2 * np.eye(4)) == pytest.approx(3.0)
+    assert unitarity_residual(np.ones((2, 3))) == math.inf
+    assert math.isnan(unitarity_residual(np.array([[1, 0], [0, np.nan]])))
+
+
+BAD_TOLS = [math.inf, math.nan, -1.0, 1.0, -math.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_check_tol_refuses_out_of_range(tol):
+    with pytest.raises(InputError, match=r"finite and in \[0, 1\)"):
+        check_tol(tol)
+
+
+def test_check_tol_accepts_the_range():
+    for tol in (0, 0.0, 1e-9, 0.5, np.float64(1e-8), 1 - 1e-16):
+        check_tol(tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_library_entry_points_refuse_out_of_range_tol(tol):
+    G = chain2_relation()
+    circuit, U = random_circuit_unitary(G, seed=3)
+    a, b = U.in_space.labels[0], U.out_space.labels[0]
+    calls = [lambda: decompose(U, G, tol=tol),
+             lambda: verify_decomposition(U, circuit, G, tol=tol),
+             lambda: influences(U, a, b, rel_tol=tol),
+             lambda: causal_structure_report(U, rel_tol=tol)]
+    for call in calls:
+        with pytest.raises(InputError, match="tolerance"):
+            call()
+

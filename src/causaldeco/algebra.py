@@ -17,12 +17,11 @@ M_D has the scalars as centre, read from k = D^2); commutants solve it
 on all D^2 matrix units, so they stay off the synthesis path: a
 reduction onto local legs is the closure of the blocks, over the rest
 legs, of a few generic elements (of the basis when it is no larger),
-with no Schmidt SVD and no double commutant.  The
-factor test runs on an isomorphic compression of the algebra to the
-cyclic subspace of a generic vector, n min(n, m) dimensions for an
-image of M_n x 1_m.  Minimal central projectors and the Wedderburn
-form of a factor both read one spectral decomposition of a generic
-element.
+with no Schmidt SVD and no double commutant.  The factor test reads a
+basis in matrix-unit layout, as heisenberg_image builds it, as a copy
+of M_n and falls back to the centre otherwise.  Minimal central
+projectors and the Wedderburn form of a factor both read one spectral
+decomposition of a generic element.
 
 The gate-splitting step has one path.  algebraic_lemma and sectorize
 share the layout, commutation and support checks and the reductions
@@ -42,8 +41,9 @@ commutation and support are bilinear or linear conditions, so a pair
 that passes them makes them hold on the whole span.  A degenerate draw
 can only make a centre or commutant too large, which refuses a factor
 or fails a later verification; it never produces a wrong success.  The
-factor test's vector comes from the same seed; a degenerate one fails
-the compression's checks, and the test runs on the algebra itself.
+factor test's matrix-unit identity is bilinear too, so the pair decides
+it; a degenerate pair that meets it by coincidence still cannot pass a
+wrong circuit, since the recomposition gate checks every success.
 
 Numerical policy: rank decisions read singular values and right vectors
 only (a tall matrix goes through its QR factor R first, so no left
@@ -279,32 +279,23 @@ def centre(S: MatrixSubalgebra) -> MatrixSubalgebra:
 
 
 def is_factor(S: MatrixSubalgebra) -> bool:
-    """Whether S has a trivial centre, read on the span K of b_i v for a
-    generic v drawn from _GENERIC_SEED.  K is S-invariant and S is
-    *-closed, so x -> q^dag x q (q an orthonormal basis of K) is a
-    *-homomorphism, and an isomorphism with the same centre when the
-    compressed span keeps dimension S.dim.  Both facts are checked
-    (invariance to RESIDUAL_TOL); if either fails, or K is C^D, the test
-    runs on S itself.  M_n x 1_m compresses to n min(n, m) dimensions."""
-    rng = np.random.default_rng(_GENERIC_SEED)
-    d = S.ambient.total_dim
-    return _factor_at(S, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    """Whether S has a trivial centre.
 
-
-def _factor_at(S: MatrixSubalgebra, v) -> bool:
-    """is_factor on the cyclic subspace of the vector v."""
-    w = S.basis @ v
-    s, vh = _row_space(w)
-    r = int(np.sum(s > SVD_RANK_REL * s.max(initial=0.0)
-                   * np.sqrt(max(w.shape))))
-    if 0 < r < S.ambient.total_dim:
-        q = vh[:r].T
-        bq = S.basis @ q
-        small = dagger(q) @ bq
-        leak = np.linalg.norm(bq - q @ small) / np.linalg.norm(bq)
-        basis = orthonormalize(small)
-        if leak <= RESIDUAL_TOL and basis.shape[0] == S.dim:
-            S = MatrixSubalgebra(TensorSpace((("v", r),)), basis)
+    A basis of n^2 elements in matrix-unit layout, b_ij b_kl = s
+    delta_jk b_il with s = sqrt(n / D) (heisenberg_image's basis), spans
+    a copy of M_n, a factor.  The identity is bilinear, so it is tested
+    on the generic pair x, y: xy = s sum_il (C_x C_y)_il b_il for their
+    n x n coefficient matrices, to RESIDUAL_TOL.  Any other basis is
+    decided by its centre."""
+    n = math.isqrt(S.dim)
+    if S.dim and n * n == S.dim:
+        x, y = S.test_elements()
+        cx, cy = (S.coefficients(t).reshape(n, n) for t in (x, y))
+        xy = x @ y
+        units = math.sqrt(n / S.ambient.total_dim) * np.tensordot(
+            (cx @ cy).ravel(), S.basis, axes=1)
+        if np.linalg.norm(xy - units) <= RESIDUAL_TOL * np.linalg.norm(xy):
+            return True
     return centre(S).dim == 1
 
 

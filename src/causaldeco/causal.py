@@ -111,10 +111,16 @@ def _space_to_json(space: TensorSpace) -> list:
 
 def _space_from_json(items, side) -> TensorSpace:
     try:
-        factors = tuple((str(it["label"]), it["dim"]) for it in items)
+        factors = tuple((it["label"], it["dim"]) for it in items)
     except (KeyError, TypeError) as exc:
         raise InputError(f"each {side} leg needs a 'label' and an integer "
                          f"'dim' ({exc!r})") from exc
+    # labels are JSON strings, as relation labels are; str() would read
+    # [] or true as a label
+    for label, _ in factors:
+        if not isinstance(label, str):
+            raise InputError(f"{side} leg labels must be strings, got "
+                             f"{label!r}")
     return TensorSpace(factors)
 
 

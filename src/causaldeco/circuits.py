@@ -189,9 +189,23 @@ def advance_frame(frame, mat, gate, gin, gout):
     return TensorSpace(tuple(gout) + rest), mat
 
 
-def start_frame(shape, in_dims) -> TensorSpace:
-    return TensorSpace(tuple(("A:" + a, in_dims[a])
-                             for a in sorted(shape.inputs)))
+def compose_frame(shape, gates, wire_dims, in_dims, out_dims,
+                  members=None):
+    """Frame and matrix of the gates at ``members`` (every node when
+    None) contracted along the linear extension, identity elsewhere."""
+    frame = TensorSpace(tuple(("A:" + a, in_dims[a])
+                              for a in sorted(shape.inputs)))
+    mat = np.eye(frame.total_dim, dtype=complex)
+    for v in shape.linear_extension():
+        if members is not None and v not in members:
+            continue
+        frame, mat = advance_frame(
+            frame, mat, gates[v], *gate_legs(shape, v, wire_dims, out_dims))
+        if frame.total_dim > FRAME_DIM_CAP:
+            raise InputError(
+                f"intermediate dimension {frame.total_dim} exceeds "
+                f"{FRAME_DIM_CAP} after node {v}")
+    return frame, mat
 
 
 def compose_matrix(circuit: Circuit) -> np.ndarray:
@@ -200,18 +214,10 @@ def compose_matrix(circuit: Circuit) -> np.ndarray:
     Works for rectangular gates; the result maps the circuit's in_space
     to its out_space coordinates but is not checked for unitarity.
     """
-    shape = circuit.shape
-    frame = start_frame(shape, circuit.in_dims)
-    mat = np.eye(frame.total_dim, dtype=complex)
-    for v in shape.linear_extension():
-        frame, mat = advance_frame(
-            frame, mat, circuit.gates[v],
-            *gate_legs(shape, v, circuit.wire_dims, circuit.out_dims))
-        if frame.total_dim > FRAME_DIM_CAP:
-            raise InputError(
-                f"intermediate dimension {frame.total_dim} exceeds "
-                f"{FRAME_DIM_CAP} after node {v}")
-    final = ["B:" + b for b in sorted(shape.outputs)]
+    frame, mat = compose_frame(circuit.shape, circuit.gates,
+                               circuit.wire_dims, circuit.in_dims,
+                               circuit.out_dims)
+    final = ["B:" + b for b in sorted(circuit.shape.outputs)]
     return frame.permutation_to(final) @ mat
 
 

@@ -240,6 +240,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     G = load_relation(args.relation)
     res = check_c3ep(G)
     if res.violated:

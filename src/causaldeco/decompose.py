@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SectorDecomposition, SectorObstruction, \
-    _projected_unitary, algebraic_lemma, dagger
+    _projected_unitary, algebraic_lemma, dagger, matrix_units
 from .causal import UnitaryChannel, causal_structure, heisenberg_image
-from .circuits import Circuit, advance_frame, compose_matrix, \
-    fix_gate_phase, gate_legs, start_frame
+from .circuits import Circuit, compose_frame, compose_matrix, \
+    fix_gate_phase, gate_legs
 from .errors import InputError, NumericsError, check_tol
 from .lattice import build_concept_lattice, connectivity
 from .relations import C3Witness, Relation, check_c3ep
@@ -130,7 +130,7 @@ def _inclusion_residuals(img, frame, gin, iso, leg) -> list[float]:
     d = iso.codomain.dim(leg)
     return [img.residual(frame.embed(
         iso.inv_conj(iso.codomain.embed(e, [leg])), gin))
-        for e in np.eye(d * d, dtype=complex).reshape(d * d, d, d)]
+        for e in matrix_units(d)]
 
 
 def _output_rotation(img, frame, gin, iso, leg):
@@ -146,19 +146,6 @@ def _output_rotation(img, frame, gin, iso, leg):
         iso.conj(frame.partial_trace(e, gin)), [leg]) for e in img.basis[::d]]
     c = int(np.argmax(np.abs(np.diagonal(parts[0]))))
     return _projected_unitary(np.stack([p[:, c] for p in parts], axis=1))
-
-
-def _partial_composition(shape, gates, wire_dims, in_dims, out_dims,
-                         members):
-    """Frame and matrix of the gates at ``members``, identity elsewhere."""
-    frame = start_frame(shape, in_dims)
-    mat = np.eye(frame.total_dim, dtype=complex)
-    for u in shape.linear_extension():
-        if u in members:
-            frame, mat = advance_frame(
-                frame, mat, gates[u],
-                *gate_legs(shape, u, wire_dims, out_dims))
-    return frame, mat
 
 
 def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
@@ -197,10 +184,10 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
     wire_dims = {e: 1 for e in shape.covers}
     diags = []
     for v in shape.linear_extension():
-        below = [u for u in range(len(shape.nodes))
-                 if u != v and shape.leq(u, v)]
-        frame, vmat = _partial_composition(
-            shape, gates, wire_dims, in_dims, out_dims, set(below))
+        below = {u for u in range(len(shape.nodes))
+                 if u != v and shape.leq(u, v)}
+        frame, vmat = compose_frame(
+            shape, gates, wire_dims, in_dims, out_dims, below)
         gin, _ = gate_legs(shape, v, wire_dims, out_dims)
         local_dim = math.prod(frame.dim(name) for name in gin)
         covers = shape.up_covers(v)

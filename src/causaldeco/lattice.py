@@ -32,6 +32,11 @@ from .relations import Relation, children, parents
 MAX_CONCEPTS = 4096
 
 
+def _is_node(i, n) -> bool:
+    # bool is an int subclass and would read as node 0 or 1
+    return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n
+
+
 @dataclass(frozen=True)
 class ConceptNode:
     """A lattice node: closed input set with its reachable outputs."""
@@ -66,8 +71,8 @@ class ConceptLattice:
         n = len(self.nodes)
         self._up, self._down = [[] for _ in range(n)], [[] for _ in range(n)]
         for i, j in sorted(self.covers):
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"cover ({i},{j}) out of range")
+            if not (_is_node(i, n) and _is_node(j, n)):
+                raise InputError(f"invalid cover ({i},{j})")
             self._up[i].append(j)
             self._down[j].append(i)
         self._leq = self._compute_leq()
@@ -87,12 +92,11 @@ class ConceptLattice:
         n = len(self.nodes)
         if len({node.alpha for node in self.nodes}) != n:
             raise InputError("duplicate node alpha sets")
-        for a in self.inputs:
-            if a not in self.lam or not (0 <= self.lam[a] < n):
-                raise InputError(f"lambda missing or invalid for input {a!r}")
-        for b in self.outputs:
-            if b not in self.mu or not (0 <= self.mu[b] < n):
-                raise InputError(f"mu missing or invalid for output {b!r}")
+        for name, labels, nodes in (("lambda", self.inputs, self.lam),
+                                    ("mu", self.outputs, self.mu)):
+            for x in labels:
+                if not _is_node(nodes.get(x), n):
+                    raise InputError(f"{name} missing or invalid for {x!r}")
 
     # -- order helpers ---------------------------------------------------
 

@@ -22,7 +22,6 @@ from causaldeco.algebra import (
     MatrixSubalgebra,
     SectorObstruction,
     UnitaryIso,
-    _factor_at,
     _sectors_of_reductions,
     algebra_closure,
     _row_space,
@@ -634,8 +633,8 @@ def block_and_image_algebras(draw):
 @given(S=block_and_image_algebras())
 def test_centre_and_factor_match_entry_solve(S):
     # the centre in the algebra's own coordinates, and the factor test
-    # on the cyclic subspace of a generic vector, against the solve on
-    # all D^2 matrix entries
+    # by matrix units or by that centre, against the solve on all D^2
+    # matrix entries
     expected = oracle_centre_dim(S)
     assert centre(S).dim == expected
     assert is_factor(S) == (expected == 1)
@@ -652,33 +651,41 @@ def centre_ambients(S, call):
         return call(S), dims
 
 
-def test_factor_test_runs_on_the_cyclic_subspace():
-    # M_2 x 1_4 compresses to M_2 x 1_2 on the 4-dim span of b_i v; a
-    # block algebra M_1 x 1_3 + M_2 x 1_3 to M_1 + M_2 x 1_2 on 5 dims
+def test_factor_test_reads_the_image_units():
+    # a Heisenberg image's basis is in matrix-unit layout, with d_b^2
+    # below, at and above D: each is decided with no centre solve
     rng = np.random.default_rng(5)
-    outs = space(("b", 2), ("r", 4))
-    img = heisenberg_image(
-        UnitaryChannel(haar_unitary(8, rng), space(("a", 8)), outs), ["b"])
-    assert centre_ambients(img, is_factor) == (True, [4])
-    S = block_algebra([(1, 3), (2, 3)], haar_unitary(9, rng))
-    assert centre_ambients(S, is_factor) == (False, [5])
+    for d_b, d_r in ((2, 4), (2, 2), (4, 2)):
+        outs = space(("b", d_b), ("r", d_r))
+        D = outs.total_dim
+        img = heisenberg_image(
+            UnitaryChannel(haar_unitary(D, rng), space(("a", D)), outs),
+            ["b"])
+        assert centre_ambients(img, is_factor) == (True, [])
 
 
-def test_factor_test_falls_back_on_a_degenerate_vector():
-    # v on the first block of M_2 + M_2 spans a 2-dim subspace where the
-    # compression is M_2, a factor of dim 4 < 8: the dimension check
-    # refuses it and the test runs on S itself
-    S = block_algebra([(2, 1), (2, 1)], np.eye(4))
-    v = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
-    assert centre_ambients(S, lambda S: _factor_at(S, v)) == (False, [4])
-    # an empty basis spans nothing either, and its centre is refused
+def test_factor_test_falls_back_to_the_centre():
+    # a rotated orthonormal basis of M_4 x 1_2 is not in unit layout and
+    # passes through one centre solve; M_2 + M_2 + M_2 + M_2 has the
+    # same dimension 16 on D=8 and fails
+    rng = np.random.default_rng(6)
+    S = block_algebra([(4, 2)], haar_unitary(8, rng))
+    rotated = MatrixSubalgebra(
+        S.ambient, np.tensordot(haar_unitary(16, rng), S.basis, axes=1))
+    assert centre_ambients(rotated, is_factor) == (True, [8])
+    blocks = block_algebra([(2, 1)] * 4, haar_unitary(8, rng))
+    assert blocks.dim == 16
+    assert centre_ambients(blocks, is_factor) == (False, [8])
+    # an empty basis spans nothing, and its centre is refused
     with pytest.raises(InputError, match="empty"):
         is_factor(MatrixSubalgebra(space(("q", 2)), np.zeros((0, 2, 2))))
 
 
 def test_factor_test_never_forms_a_d_squared_map(monkeypatch):
-    # the image of a 4-dim output leg at D=128 is tested on 16 dims: no
-    # rank decision sees a matrix with D^2 rows or columns
+    # the image of a 4-dim output leg at D=128 is decided by its units
+    # with no rank decision, and a rotated basis of it by a centre solve
+    # in its 16 coordinates: no rank decision sees a matrix with D^2
+    # rows or columns
     rng = np.random.default_rng(0)
     outs = space(("b", 4), ("r", 32))
     img = heisenberg_image(
@@ -690,6 +697,10 @@ def test_factor_test_never_forms_a_d_squared_map(monkeypatch):
         return _row_space(m)
     monkeypatch.setattr(algebra_module, "_row_space", recording)
     assert is_factor(img)
+    assert shapes == []
+    rotated = MatrixSubalgebra(
+        img.ambient, np.tensordot(haar_unitary(16, rng), img.basis, axes=1))
+    assert is_factor(rotated)
     assert shapes
     assert all(128 ** 2 not in shape for shape in shapes), shapes
 

@@ -251,6 +251,19 @@ def test_analyze_malformed_unitary_exits_2(tmp_path, capsys, field, value):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("label", [True, [], 1])
+def test_analyze_non_string_label_exits_2(tmp_path, capsys, label):
+    # str() used to read true as the label "True" and [] as "[]"
+    doc = json.loads(unitary_to_json(u3()))
+    doc["in"][0]["label"] = label
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "labels must be strings" in captured.err
+
+
 @pytest.mark.parametrize("dim", [2.7, True, "2"])
 def test_analyze_non_integer_dim_exits_2(tmp_path, capsys, dim):
     # a truncating int() would read 2.7 as 2 and "2" as 2
@@ -546,6 +559,16 @@ def test_roundtrip_reports_circuitless_trial(tmp_path, capsys, monkeypatch,
     else:
         assert captured.out.splitlines() == [
             "trial 0: fail (Obstruction)", "0/1 pass"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_roundtrip_trials_below_one_exits_2(tmp_path, capsys, trials):
+    # -1 used to print "0/-1 pass" and exit 3, and 0 "0/0 pass" and exit 0
+    rel = write_relation(tmp_path / "chain2.json", chain2_relation())
+    assert main(["roundtrip", rel, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be at least 1" in captured.err
 
 
 def test_roundtrip_c3_refused(capsys, c3_file):

@@ -273,23 +273,33 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
     # the only closures are the reductions onto the local legs (no joint
     # closure of the reductions); each gate is finished at its node, so
     # the only images are the lemma's inputs and the circuit is composed
-    # once, by the final verification
+    # once, by the final verification.  Every lemma input is an image in
+    # matrix-unit layout, so no factor test falls back to a centre solve,
+    # in decompose or in obstruction_witness.
     import sys
     import causaldeco.algebra as algebra
     module = sys.modules["causaldeco.decompose"]
     calls = {"inputs": 0, "is_factor": 0, "algebra_closure": 0,
              "reduce_onto_legs": 0, "heisenberg_image": 0,
-             "compose_matrix": 0}
+             "compose_matrix": 0, "factor_centre": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
             calls[key] += 1
             return fn(*args, **kwargs)
         return wrapper
-    for key in ("is_factor", "algebra_closure", "reduce_onto_legs"):
+    for key in ("algebra_closure", "reduce_onto_legs"):
         monkeypatch.setattr(algebra, key, counting(key, getattr(algebra, key)))
     for key in ("heisenberg_image", "compose_matrix"):
         monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
+    factor_test, centre = algebra.is_factor, algebra.centre
+
+    def counting_factor(S):
+        calls["is_factor"] += 1
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "centre", counting("factor_centre", centre))
+            return factor_test(S)
+    monkeypatch.setattr(algebra, "is_factor", counting_factor)
     lemma = module.algebraic_lemma
 
     def counting_inputs(a_labels, x_legs, bs, seed=0):
@@ -297,17 +307,30 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
         return lemma(a_labels, x_legs, bs, seed=seed)
     monkeypatch.setattr(module, "algebraic_lemma", counting_inputs)
     G = fans_relation()
-    for seed in (1, 2):
-        _, ch = random_circuit_unitary(G, seed=seed)
+    chain2 = chain2_relation()
+    in_dims, out_dims, wire_dims = uniform_dims(
+        build_concept_lattice(chain2), 3)
+    runs = [(G, random_circuit_unitary(G, seed=seed)[1], seed)
+            for seed in (1, 2)]
+    runs.append((chain2, random_circuit_unitary(
+        chain2, wire_dims=wire_dims, leg_dims={**in_dims, **out_dims},
+        seed=0)[1], 0))
+    for rel, ch, seed in runs:
         for key in calls:
             calls[key] = 0
-        _, report = decompose(ch, G, seed=seed)
+        _, report = decompose(ch, rel, seed=seed)
         assert report.status == "Success"
         assert calls["inputs"] > 0
         assert calls["is_factor"] == calls["inputs"]
         assert calls["algebra_closure"] == calls["reduce_onto_legs"] > 0
         assert calls["heisenberg_image"] == calls["inputs"]
         assert calls["compose_matrix"] == 1
+        assert calls["factor_centre"] == 0
+    C3 = c3_relation()
+    calls["is_factor"] = 0
+    obstruction_witness(build_counterexample(C3, seed=0), C3)
+    assert calls["is_factor"] > 0
+    assert calls["factor_centre"] == 0
 
 
 @pytest.mark.parametrize("pair_too", [False, True])

@@ -125,6 +125,30 @@ def test_malformed_shape_fields_are_input_errors(changes):
         circuit_from_json(_with(CHAIN2_CIRCUIT, **changes))
 
 
+@pytest.mark.parametrize("field", ["lambda", "mu"])
+@pytest.mark.parametrize("index", [0.5, 1.0, True])
+def test_non_integer_node_index_is_input_error(field, index):
+    # 0.5 used to load and place its label at no node, and true to read
+    # as node 1
+    for load, doc in ((shape_from_json, FANS_SHAPE),
+                      (circuit_from_json, CHAIN2_CIRCUIT)):
+        doc = _with(doc)
+        doc[field][sorted(doc[field])[0]] = index
+        with pytest.raises(InputError, match=f"{field} missing or invalid"):
+            load(doc)
+
+
+def test_bool_cover_index_is_input_error():
+    # a cover (false, 1) used to load as (0, 1)
+    for load, doc in ((shape_from_json, FANS_SHAPE),
+                      (circuit_from_json, CHAIN2_CIRCUIT)):
+        doc = _with(doc)
+        assert doc["covers"][0] == [0, 1]
+        doc["covers"][0][0] = False
+        with pytest.raises(InputError, match="invalid cover"):
+            load(doc)
+
+
 def test_non_unitary_matrix_is_input_error():
     doc = json.loads(json.dumps(U3_DOC))
     doc["matrix"][0][0] = [2.0, 0.0]

@@ -7,6 +7,7 @@ attachment maps.
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from causaldeco.lattice import (MAX_CONCEPTS, build_concept_lattice,
                                 overlap_lemma_check, shape_from_json,
                                 shape_to_json, to_dot)
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
-                                  closure_inputs, fan_in_relation,
+                                  check_c3ep, closure_inputs, fan_in_relation,
                                   fan_out_relation, overlapping_fans_relation,
                                   relation_to_json, swap_relation)
 
@@ -257,3 +258,27 @@ def test_order_matrix_equals_warshall(G):
             for j in range(n):
                 leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
     assert [[shape.leq(i, j) for j in range(n)] for i in range(n)] == leq
+
+
+@PROPERTY
+@given(G=small_relations())
+def test_lattice_c3_routes_agree_with_the_relational_ones(G):
+    # check_c3ep already compares the scan with the intersection
+    # criterion; here the lattice verdict, its path evidence and the
+    # overlap lemma are held against it
+    shape = build_concept_lattice(G)
+    res = check_c3ep_lattice(shape)
+    assert res.satisfied == check_c3ep(G).satisfied
+    multiple = [(a, b) for a in sorted(G.inputs) for b in sorted(G.outputs)
+                if count_paths(shape, a, b) > 1]
+    if res.satisfied:
+        assert res.evidence is None and multiple == []
+        assert overlap_lemma_check(shape) == sum(
+            math.comb(len(shape.up_covers(v)), 2)
+            for v, nd in enumerate(shape.nodes) if nd.alpha)
+    else:
+        a, b, paths = res.evidence
+        assert (a, b) == multiple[0]
+        assert paths == count_paths(shape, a, b) > 1
+        with pytest.raises(InputError):
+            overlap_lemma_check(shape)

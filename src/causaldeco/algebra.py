@@ -529,8 +529,8 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None, seed=0):
     for k in range(n - 1):
         iso, d, mult = factorize_factor(
             cur[k], seed=int(rng.integers(0, 2**31)))
-        w = np.kron(np.eye(prefix), iso.matrix)
-        v_tot = w @ v_tot
+        # the iso acts on the trailing leg, batched over the split prefix
+        v_tot = (iso.matrix @ v_tot.reshape(prefix, cur_dim, D)).reshape(D, D)
         dims.append(d)
         pair = TensorSpace((("f", d), ("c", mult)))
         for j in range(k + 1, n):

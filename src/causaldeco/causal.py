@@ -98,9 +98,8 @@ class UnitaryChannel:
             else list(self.in_space.labels)
         out_labels = list(out_labels) if out_labels is not None \
             else list(self.out_space.labels)
-        pin = self.in_space.permutation_to(in_labels)
-        pout = self.out_space.permutation_to(out_labels)
-        return UnitaryChannel(pout @ self.matrix @ pin.T,
+        rows = self.out_space.reorder(self.matrix, out_labels)
+        return UnitaryChannel(self.in_space.reorder(rows.T, in_labels).T,
                               self.in_space.subspace(in_labels),
                               self.out_space.subspace(out_labels))
 
@@ -214,12 +213,9 @@ def _rows_by_beta(U: UnitaryChannel, betas) -> np.ndarray:
     """Rows of U grouped by the index of the (ordered) beta output legs:
     shape (d_beta, D / d_beta, D)."""
     space = U.out_space
-    front = [space.index(l) for l in betas]
-    order = front + [k for k in range(len(space.dims)) if k not in front]
     d_beta = space.subspace(betas).total_dim
-    rows = U.matrix.reshape(space.dims + (U.dim,))
-    return rows.transpose(order + [len(order)]).reshape(
-        d_beta, U.dim // d_beta, U.dim)
+    rows = space.reorder(U.matrix, tuple(betas) + space.complement(betas))
+    return rows.reshape(d_beta, U.dim // d_beta, U.dim)
 
 
 def _ordered_subset(space: TensorSpace, labels, side) -> list[str]:

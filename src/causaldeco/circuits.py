@@ -180,13 +180,18 @@ def advance_frame(frame, mat, gate, gin, gout):
 
     ``gin`` names the frame legs the gate consumes (in gate leg order),
     ``gout`` is the (name, dim) tuple of legs it emits.  Returns the new
-    (frame, mat) with the emitted legs at the front.
+    (frame, mat) with the emitted legs at the front: the gate acts on
+    its own legs of the rows, and the rest ride along.
     """
-    perm, permuted = frame.front_permutation(gin)
-    rest = permuted.factors[len(gin):]
-    d_rest = math.prod((d for _, d in rest), start=1)
-    mat = np.kron(gate, np.eye(d_rest)) @ (perm @ mat)
-    return TensorSpace(tuple(gout) + rest), mat
+    rest = frame.complement(gin)
+    new = TensorSpace(tuple(gout) + frame.subspace(rest).factors)
+    if new.total_dim > FRAME_DIM_CAP:
+        raise InputError(f"intermediate dimension {new.total_dim} exceeds "
+                         f"{FRAME_DIM_CAP} at the gate onto "
+                         f"{[name for name, _ in gout]}")
+    rows = frame.reorder(mat, tuple(gin) + rest)
+    mat = gate @ rows.reshape(gate.shape[1], -1)
+    return new, mat.reshape(new.total_dim, -1)
 
 
 def compose_frame(shape, gates, wire_dims, in_dims, out_dims,
@@ -197,14 +202,10 @@ def compose_frame(shape, gates, wire_dims, in_dims, out_dims,
                               for a in sorted(shape.inputs)))
     mat = np.eye(frame.total_dim, dtype=complex)
     for v in shape.linear_extension():
-        if members is not None and v not in members:
-            continue
-        frame, mat = advance_frame(
-            frame, mat, gates[v], *gate_legs(shape, v, wire_dims, out_dims))
-        if frame.total_dim > FRAME_DIM_CAP:
-            raise InputError(
-                f"intermediate dimension {frame.total_dim} exceeds "
-                f"{FRAME_DIM_CAP} after node {v}")
+        if members is None or v in members:
+            frame, mat = advance_frame(
+                frame, mat, gates[v],
+                *gate_legs(shape, v, wire_dims, out_dims))
     return frame, mat
 
 
@@ -218,7 +219,7 @@ def compose_matrix(circuit: Circuit) -> np.ndarray:
                                circuit.wire_dims, circuit.in_dims,
                                circuit.out_dims)
     final = ["B:" + b for b in sorted(circuit.shape.outputs)]
-    return frame.permutation_to(final) @ mat
+    return frame.reorder(mat, final)
 
 
 def compose(circuit: Circuit) -> UnitaryChannel:
@@ -370,18 +371,12 @@ def circuit_from_json(data) -> Circuit:
     shape = shape_from_json(data)
     wire_dims = {}
     for key, d in data["wire_dims"].items():
-        try:
-            u, v = key.split("->")
-            wire_dims[(int(u), int(v))] = d
-        except (ValueError, AttributeError) as exc:
-            raise InputError(f"bad wire key {key!r}") from exc
+        u, _, v = str(key).partition("->")
+        wire_dims[(_node_key(u, key, "wire"), _node_key(v, key, "wire"))] = d
     in_dims, out_dims = data["in_dims"], data["out_dims"]
     gates = {}
     for key, rows in data["gates"].items():
-        try:
-            v = int(key)
-        except ValueError as exc:
-            raise InputError(f"bad gate key {key!r}") from exc
+        v = _node_key(key, key, "gate")
         if not (0 <= v < len(shape)):
             raise InputError(f"gate key {key!r} out of range")
         try:
@@ -390,6 +385,19 @@ def circuit_from_json(data) -> Circuit:
             raise InputError(f"missing dim for {exc.args[0]!r}") from exc
         gates[v] = matrix_from_cells(rows, dout, din)
     return Circuit(shape, wire_dims, in_dims, out_dims, gates)
+
+
+def _node_key(text, key, what) -> int:
+    """The node index ``text`` spells in ``key``, which must be the one
+    spelling ``circuit_to_json`` writes: "0_1", "+1" or " 1" would all
+    read as 1 and let a later key silently replace an earlier one."""
+    try:
+        v = int(text)
+    except (ValueError, TypeError):
+        v = None
+    if v is None or str(v) != text:
+        raise InputError(f"bad {what} key {key!r}")
+    return v
 
 
 def load_circuit(path) -> Circuit:

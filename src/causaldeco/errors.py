@@ -56,7 +56,9 @@ def document(data, what: str, fields: dict) -> dict:
 def check_tol(tol) -> None:
     """Refuse a relative tolerance outside [0, 1).  A NaN or negative one
     fails every comparison, and at 1 or above a relative residual or
-    commutator cut passes nearly everything."""
-    if not (isinstance(tol, numbers.Real) and 0 <= tol < 1):
+    commutator cut passes nearly everything.  A bool is a Real, but
+    not a tolerance."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
+                                     and 0 <= tol < 1):
         raise InputError(f"tolerance must be finite and in [0, 1), "
                          f"got {tol!r}")

@@ -20,6 +20,7 @@ Node identity is the sorted alpha tuple; nodes are listed sorted by
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,10 +308,22 @@ def _set_label(items) -> str:
     return "{" + ",".join(items) + "}"
 
 
+def _dot_string(text) -> str:
+    """``text`` as a quoted DOT string, with quotes and backslashes
+    escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot_id(name) -> str:
+    """``name`` as a DOT ID: bare when it is a plain identifier,
+    quoted otherwise (a label may hold spaces, quotes or dashes)."""
+    return name if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) \
+        else _dot_string(name)
+
+
 def to_dot(shape: ConceptLattice) -> str:
     """Graphviz rendering: cover edges drawn upward, dashed stubs for
     attached inputs and outputs, nodes ranked by height."""
-    n = len(shape.nodes)
     heights = {}
     for i in shape.linear_extension():
         downs = shape.down_covers(i)
@@ -318,16 +331,19 @@ def to_dot(shape: ConceptLattice) -> str:
     lines = ["digraph shape {", "  rankdir=BT;",
              '  node [shape=box, fontname="monospace"];']
     for i, nd in enumerate(shape.nodes):
-        label = f"{_set_label(nd.alpha)} | {_set_label(nd.beta)}"
-        lines.append(f'  n{i} [label="{label}"];')
+        label = _dot_string(f"{_set_label(nd.alpha)} | "
+                            f"{_set_label(nd.beta)}")
+        lines.append(f"  n{i} [label={label}];")
     for i, j in sorted(shape.covers):
         lines.append(f"  n{i} -> n{j};")
     for a in shape.inputs:
-        lines.append(f'  in_{a} [shape=plaintext, label="{a}"];')
-        lines.append(f"  in_{a} -> n{shape.lam[a]} [style=dashed];")
+        node = _dot_id("in_" + a)
+        lines.append(f"  {node} [shape=plaintext, label={_dot_string(a)}];")
+        lines.append(f"  {node} -> n{shape.lam[a]} [style=dashed];")
     for b in shape.outputs:
-        lines.append(f'  out_{b} [shape=plaintext, label="{b}"];')
-        lines.append(f"  n{shape.mu[b]} -> out_{b} [style=dashed];")
+        node = _dot_id("out_" + b)
+        lines.append(f"  {node} [shape=plaintext, label={_dot_string(b)}];")
+        lines.append(f"  n{shape.mu[b]} -> {node} [style=dashed];")
     by_height: dict[int, list[int]] = {}
     for i, h in heights.items():
         by_height.setdefault(h, []).append(i)

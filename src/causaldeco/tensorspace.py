@@ -3,9 +3,8 @@
 Every operator in this package acts on an ordered tensor product of
 labeled finite-dimensional factors ("legs").  Keeping the order explicit
 in a small value type lets the rest of the code move operators between
-leg frames by reshaping and transposing their legs (or by permutation
-matrices, where a caller needs one) instead of error-prone manual index
-arithmetic.
+leg frames by reshaping and transposing their legs instead of
+error-prone manual index arithmetic.
 
 Conventions: vectors use the lexicographic product basis of the factor
 list (row-major, numpy reshape order).  ``vec`` of a matrix means
@@ -99,28 +98,25 @@ class TensorSpace:
 
     # -- leg permutations ------------------------------------------------
 
-    def permutation_to(self, new_labels) -> np.ndarray:
-        """Permutation matrix P with (P psi) indexed by ``new_labels`` order.
-
-        ``new_labels`` must be a reordering of all labels.
-        """
+    def reorder(self, arr, new_labels) -> np.ndarray:
+        """``arr`` with its leading axis, indexed by this space's legs,
+        re-indexed by ``new_labels`` (a reordering of all labels) by one
+        reshape and one transpose.  Trailing axes ride along."""
         new_labels = tuple(new_labels)
         if sorted(new_labels) != sorted(self.labels):
             raise InputError(
                 f"{new_labels} is not a reordering of {self.labels}")
-        if new_labels == self.labels:
-            return np.eye(self.total_dim)
+        arr = np.asarray(arr)
         axes = [self.index(l) for l in new_labels]
-        src = np.arange(self.total_dim).reshape(self.dims)
-        src = np.transpose(src, axes).reshape(-1)
-        perm = np.zeros((self.total_dim, self.total_dim))
-        perm[np.arange(self.total_dim), src] = 1.0
-        return perm
+        n = len(axes)
+        moved = arr.reshape(self.dims + arr.shape[1:]).transpose(
+            axes + list(range(n, n + arr.ndim - 1)))
+        return moved.reshape(arr.shape)
 
-    def front_permutation(self, labels) -> tuple[np.ndarray, "TensorSpace"]:
-        """Permutation bringing ``labels`` (in that order) to the front."""
-        order = tuple(labels) + self.complement(labels)
-        return self.permutation_to(order), self.subspace(order)
+    def permutation_to(self, new_labels) -> np.ndarray:
+        """Permutation matrix P with (P psi) indexed by ``new_labels``
+        order: ``reorder`` applied to the identity."""
+        return self.reorder(np.eye(self.total_dim), new_labels)
 
     # -- embeddings and reductions ---------------------------------------
 
@@ -184,14 +180,10 @@ class TensorSpace:
         values pass the relative rank threshold.
         """
         mat = _as_complex(mat)
-        right_labels = self.complement(left_labels)
-        perm, sub = self.front_permutation(left_labels)
-        m = perm @ mat @ perm.conj().T
-        dl = 1
-        for l in left_labels:
-            dl *= self.dim(l)
+        order = tuple(left_labels) + self.complement(left_labels)
+        dl = self.subspace(left_labels).total_dim
         dr = self.total_dim // dl
-        m4 = m.reshape(dl, dr, dl, dr)
+        m4 = self._transposed(mat, self.labels, order).reshape(dl, dr, dl, dr)
         mmat = np.transpose(m4, (0, 2, 1, 3)).reshape(dl * dl, dr * dr)
         require_finite(mmat, "an operator Schmidt decomposition")
         u, s, vh = np.linalg.svd(mmat, full_matrices=False)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from causaldeco.causal import causal_structure
-from causaldeco.circuits import (Circuit, circuit_from_json, circuit_to_json,
-                                 compose, compose_matrix, fix_gate_phase,
-                                 node_input_legs, node_output_legs,
+from causaldeco.circuits import (FRAME_DIM_CAP, Circuit, circuit_from_json,
+                                 circuit_to_json, compose, compose_matrix,
+                                 fix_gate_phase, node_input_legs,
+                                 node_output_legs,
                                  random_circuit_unitary, uniform_dims)
 from causaldeco.errors import InputError
 from causaldeco.lattice import ConceptLattice, ConceptNode, \
@@ -278,6 +279,18 @@ def test_compose_validates_gate_shapes():
     with pytest.raises(InputError):
         Circuit(shape, {(0, 1): 2, (1, 0): 2}, {"a1": 2, "a2": 4},
                 {"b1": 4, "b2": 2}, {0: np.eye(8), 1: np.eye(8)})
+
+
+def test_compose_refuses_a_frame_over_the_cap():
+    # a wide wire between two rectangular gates: the frame after node 0
+    # holds the wire, and it is refused before its matrix is formed
+    shape = build_concept_lattice(chain2_relation())
+    wide = FRAME_DIM_CAP + 1
+    circuit = Circuit(shape, {(0, 1): wide}, {"a1": 1, "a2": 2},
+                      {"b1": 1, "b2": 1},
+                      {0: np.ones((wide, 2)), 1: np.ones((1, wide))})
+    with pytest.raises(InputError, match=f"intermediate dimension {wide}"):
+        compose_matrix(circuit)
 
 
 # -- random circuits -----------------------------------------------------

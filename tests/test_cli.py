@@ -472,6 +472,27 @@ def test_verify_non_integer_dim_exits_2(tmp_path, capsys, key, value):
     assert "must be a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("section, key, alias", [
+    ("gates", "1", "+1"), ("gates", "1", " 1"), ("gates", "1", "0_1"),
+    ("gates", "0", "00"), ("wire_dims", "0->1", " 0 -> 1"),
+    ("wire_dims", "0->1", "0->+1")])
+@pytest.mark.parametrize("keep", [False, True])
+def test_verify_aliased_circuit_key_exits_2(tmp_path, capsys, section, key,
+                                            alias, keep):
+    # int() reads each alias as the key it copies, so the alias used to
+    # load in the key's place, or silently replace it when both are given
+    rel, uf = chain2_files(tmp_path)
+    cf = tmp_path / "circ.json"
+    assert main(["decompose", uf, rel, "--out", str(cf)]) == 0
+    doc = json.loads(cf.read_text())
+    doc[section][alias] = doc[section][key] if keep \
+        else doc[section].pop(key)
+    cf.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", uf, str(cf), rel]) == 2
+    assert_input_error(capsys, f"bad {section[:4]} key {alias!r}")
+
+
 def test_decompose_pad_connectivity(tmp_path, capsys, u3_file, c3_file):
     cf = str(tmp_path / "circ.json")
     code = main(["decompose", u3_file, c3_file, "--pad-connectivity",

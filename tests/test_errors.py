@@ -164,9 +164,11 @@ def test_unitarity_residual():
 
 
 BAD_TOLS = [math.inf, math.nan, -1.0, 1.0, -math.inf]
+# a bool is a numbers.Real, so False used to pass as a tolerance of 0
+BOOL_TOLS = [False, True]
 
 
-@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("tol", BAD_TOLS + BOOL_TOLS)
 def test_check_tol_refuses_out_of_range(tol):
     with pytest.raises(InputError, match=r"finite and in \[0, 1\)"):
         check_tol(tol)
@@ -177,7 +179,7 @@ def test_check_tol_accepts_the_range():
         check_tol(tol)
 
 
-@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("tol", BAD_TOLS + BOOL_TOLS)
 def test_library_entry_points_refuse_out_of_range_tol(tol):
     G = chain2_relation()
     circuit, U = random_circuit_unitary(G, seed=3)

@@ -8,6 +8,7 @@ attachment maps.
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,34 @@ def test_to_dot_deterministic_and_complete():
     assert 'in_1 [shape=plaintext, label="1"];' in dot
     assert "n2 -> out_e [style=dashed];" in dot
     assert "rank=same" in dot
+
+
+# a DOT ID is a plain identifier or a quoted string with escapes
+DOT_ID = r'(?:[A-Za-z_][A-Za-z0-9_]*|"(?:[^"\\]|\\.)*")'
+DOT_ATTRS = rf'\[{DOT_ID}={DOT_ID}(?:, {DOT_ID}={DOT_ID})*\]'
+DOT_STMT = re.compile(
+    rf"  (?:(?:{DOT_ID}(?: -> {DOT_ID})?(?: {DOT_ATTRS})?|rankdir=BT);"
+    rf"|\{{ rank=same;(?: {DOT_ID};)+ \}})")
+
+
+def test_to_dot_quotes_labels_that_are_not_identifiers():
+    # "x y", 'a"b' and "out-1" used to land unquoted in IDs and strings
+    G = Relation(("x y", 'a"b', "c\\d"), ("out-1", "e"),
+                 frozenset({("x y", "out-1"), ('a"b', "out-1"),
+                            ("c\\d", "e")}))
+    lines = to_dot(build_concept_lattice(G)).splitlines()
+    assert lines[0] == "digraph shape {" and lines[-1] == "}"
+    for line in lines[1:-1]:
+        if not line.startswith("  node ["):
+            assert DOT_STMT.fullmatch(line), line
+    for expected in ['  "in_x y" [shape=plaintext, label="x y"];',
+                     '  "in_a\\"b" [shape=plaintext, label="a\\"b"];',
+                     '  "in_c\\\\d" [shape=plaintext, label="c\\\\d"];',
+                     '  "out_out-1" [shape=plaintext, label="out-1"];',
+                     '  out_e [shape=plaintext, label="e"];']:
+        assert expected in lines
+    assert any(l.startswith('  n') and '{a\\"b,c\\\\d,x y}' in l
+               for l in lines)
 
 
 def test_shape_json_round_trip():

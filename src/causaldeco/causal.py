@@ -228,60 +228,61 @@ def _ordered_subset(space: TensorSpace, labels, side) -> list[str]:
     return [l for l in space.labels if l in set(labels)]
 
 
-def _leg_plan(space: TensorSpace, label: str):
-    """What the influence kernel needs of one input leg: the shape that
-    splits a D x D matrix's row and column into (outer, leg, inner)
-    digits, the D x d one-hot matrix of the leg digit, the pairs k < l,
-    and a mask that zeroes a d x d diagonal while keeping a NaN."""
-    dims = space.dims
-    k = space.index(label)
-    d = dims[k]
-    inner = math.prod(dims[k + 1:])
-    digit = np.arange(space.total_dim) // inner % d
-    onehot = (digit[:, None] == np.arange(d)).astype(float)
-    ku, lu = np.triu_indices(d, 1)
-    split = (space.total_dim // (d * inner), d, inner)
-    return split * 2, onehot, ku, lu, 1.0 - np.eye(d)
-
-
 def _output_leg_norms(U: UnitaryChannel, b: str, alphas) -> dict:
     """Max raw Frobenius norm of [U^dag(E (x) 1)U, F (x) 1] over matrix
     units E of output leg b and F of input leg a, for each a in alphas.
 
     With g = U^dag(E_ij (x) 1)U in a-leg blocks g_kl, the squared norm
     for F_kl is the off-diagonal block mass in block column k and in
-    block row l plus |g_kk - g_ll|^2.  Each image is W_i^dag W_j, from
-    the rows of U grouped by b index, and only the pairs i <= j are
-    formed: the (j, i) image is the adjoint of the (i, j) one, so its
-    norm at (k, l) is the (i, j) norm at (l, k), and the max over (k, l)
-    is the same.  |g|^2 is taken once per image, and each leg's block
-    masses are one contraction with its one-hot digit matrix.  The
-    differences g_kk - g_ll (k < l) are formed before squaring: every
-    term is a sum of squares, so a commuting pair comes out at roundoff
-    scale.  A Gram form |g_kk|^2 + |g_ll|^2 - 2 Re<g_kk, g_ll> would
-    cancel O(1) terms, with an error near the influence cut at D=256.
-    Each leg's arithmetic is its own, so the norm does not depend on
-    which other legs are in alphas, and a NaN in U stays a NaN."""
+    block row l plus |g_kk - g_ll|^2.  The images W_i^dag W_j (rows of U
+    grouped by b index) are formed one at a time into one buffer, only
+    for i <= j: the (j, i) image is the adjoint, with the same max over
+    (k, l).  Per leg, the diagonal blocks are copied out as rows and
+    subtracted pairwise before squaring; then the image is squared in
+    place, and two products with one-hot digit matrices give the block
+    masses.  All terms are sums of squares, so a commuting pair reads at
+    roundoff, where a Gram form |g_kk|^2 + |g_ll|^2 - 2 Re<g_kk, g_ll>
+    would cancel O(1) terms.  No leg's arithmetic depends on the other
+    legs in alphas, and a NaN stays a NaN."""
+    space, D, dims = U.in_space, U.dim, U.in_space.dims
     w = _rows_by_beta(U, [b])
-    plans = {a: _leg_plan(U.in_space, a) for a in alphas}
+    inner = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    # every leg's one-hot digit matrix side by side, for any alphas
+    onehot = np.hstack([(np.arange(D) // s % d)[:, None] == np.arange(d)
+                        for s, d in zip(inner, dims)]).astype(float)
+    onehot2 = np.repeat(onehot, 2, axis=0)  # for the real view of g
+    g, mem, plans = np.empty((D, D), complex), np.empty(D * D, complex), {}
+    for a in alphas:
+        # a's columns there, a view of g's diagonal blocks, memory all legs
+        # share for their rows and differences, the pairs k < l, a mask
+        # that zeroes a diagonal but keeps a NaN, and |g_kk - g_ll|^2
+        k = space.index(a)
+        d, n, s = dims[k], (D // dims[k]) ** 2, inner[k]
+        ku, lu = np.triu_indices(d, 1)
+        plans[a] = (
+            slice(sum(dims[:k]), sum(dims[:k + 1])),
+            np.einsum("ikjlkm->kijlm", g.reshape((D // (d * s), d, s) * 2)),
+            mem[:d * n].reshape(d, n),
+            mem[d * n:(d + ku.size) * n].reshape(ku.size, n),
+            ku, lu, 1.0 - np.eye(d), np.zeros((d, d)))
     best = dict.fromkeys(alphas, 0.0)
-    d_b = w.shape[0]
-    for i in range(d_b):
+    for i in range(w.shape[0]):
         wi_dag = dagger(w[i])
-        for j in range(i, d_b):
-            g = wi_dag @ w[j]
-            p = g.real ** 2 + g.imag ** 2
-            for a, (split, onehot, ku, lu, off_mask) in plans.items():
-                off = (onehot.T @ p @ onehot) * off_mask
-                n2 = off.sum(axis=0)[:, None] + off.sum(axis=1)[None, :]
+        for j in range(i, w.shape[0]):
+            np.matmul(wi_dag, w[j], out=g)
+            for _, diag, rows, diffs, ku, lu, _, d1 in plans.values():
                 if ku.size:
-                    # a view of the diagonal blocks, (d, outer, inner)^2
-                    diag = np.einsum("ikjlkm->kijlm", g.reshape(split))
-                    diff = (diag[ku] - diag[lu]).reshape(ku.size, -1)
-                    d1 = np.einsum("pi,pi->p", diff.view(float),
-                                   diff.view(float))
-                    n2[ku, lu] += d1
-                    n2[lu, ku] += d1
+                    np.copyto(rows.reshape(diag.shape), diag)
+                    # mode="clip" writes straight into out; "raise" buffers
+                    np.take(rows, ku, axis=0, out=diffs, mode="clip")
+                    diffs -= rows[lu]
+                    d1[ku, lu] = d1[lu, ku] = np.einsum(
+                        "pi,pi->p", diffs.view(float), diffs.view(float))
+            np.square(g.view(float), out=g.view(float))
+            mass = onehot.T @ (g.view(float) @ onehot2)
+            for a, (cols, *_, mask, d1) in plans.items():
+                off = mass[cols, cols] * mask
+                n2 = off.sum(axis=0)[:, None] + off.sum(axis=1)[None, :] + d1
                 best[a] = np.maximum(best[a], n2.max())
     return {a: float(np.sqrt(s)) for a, s in best.items()}
 

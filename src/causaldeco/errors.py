@@ -33,13 +33,22 @@ def read_text(path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _unique_keys(pairs) -> dict:
+    """``json.loads`` hook: a repeated key is refused, not overwritten."""
+    last = {k: i for i, (k, _) in enumerate(pairs)}
+    if len(last) < len(pairs):
+        raise InputError("repeated key " + repr(next(
+            k for i, (k, _) in enumerate(pairs) if last[k] != i)))
+    return dict(pairs)
+
+
 def document(data, what: str, fields: dict) -> dict:
-    """``data``, JSON text or an already parsed value, as an object with
-    each key of ``fields`` present and of its type (list or dict).  The
-    parser raises RecursionError on a document nested too deeply."""
+    """``data``, JSON text (no object in it naming a key twice) or a
+    parsed value, as an object with each key of ``fields`` present and of
+    its type.  The parser raises RecursionError on too deep a nesting."""
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            data = json.loads(data, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise InputError(f"invalid {what} JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from causaldeco.causal import (
     UnitaryChannel,
@@ -35,6 +35,7 @@ from causaldeco.errors import (
     NumericsError,
 )
 from causaldeco.circuits import random_circuit_unitary
+from causaldeco.gallery import group_legs
 from causaldeco.lattice import build_concept_lattice
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
                                   check_c3ep, fan_in_relation,
@@ -280,6 +281,140 @@ def test_no_influence_norms_at_roundoff(u):
         if no_influence:
             assert raw <= bound, (a, b, raw)
         assert abs(raw - direct_commutator_norm(u, a, b)) <= bound, (a, b)
+
+
+def explicit_commutator_norm(u, a, b):
+    """The direct route with the a side taken all at once: each image
+    U^dag(E (x) 1)U as ``direct_commutator_norm`` forms it, then with a's
+    digit first on rows and columns (a permutation, which keeps the
+    norm) every commutator [g, F_pq (x) 1] written out entry by entry,
+    F_pq (x) 1 moving block column p to q and block row q to p.  The
+    direct route takes seconds a pair once both legs have dim 16."""
+    ins, outs = u.in_space, u.out_space
+    db, da, n = outs.dim(b), ins.dim(a), u.dim // ins.dim(a)
+    order = ins.reorder(np.arange(u.dim), (a,) + ins.complement([a]))
+    p = np.arange(da)[:, None]
+    q = np.arange(da)[None, :]
+    best = 0.0
+    for k, l in itertools.product(range(db), repeat=2):
+        e = np.zeros((db, db), complex)
+        e[k, l] = 1.0
+        g = u.heisenberg(outs.embed(e, [b]))[np.ix_(order, order)]
+        g = g.reshape(da, n, da, n)
+        comm = np.zeros((da, da) + g.shape, complex)
+        comm[p, q, :, :, q, :] = g.transpose(2, 0, 1, 3)[:, None]
+        comm[p, q, p] -= g[None]
+        best = max(best, float(np.linalg.norm(
+            comm.reshape(da * da, -1), axis=1).max()))
+    return best
+
+
+def test_explicit_commutator_norm_matches_direct():
+    u = UnitaryChannel(haar_unitary(16, np.random.default_rng(4)),
+                       TensorSpace((("a1", 2), ("a2", 8))),
+                       TensorSpace((("b1", 8), ("b2", 2))))
+    for a, b in itertools.product(u.in_space.labels, u.out_space.labels):
+        assert abs(explicit_commutator_norm(u, a, b)
+                   - direct_commutator_norm(u, a, b)) <= 1e-13
+
+
+@st.composite
+def large_leg_splits(draw):
+    """Input and output leg lists over one D <= 64 with a leg of dim
+    8-16 on each side, placed among up to two smaller legs that split
+    the rest of D (dims of 1 included).  The oracle writes out
+    d_a^2 d_b^2 commutators of D^2 entries, so the two large legs and D
+    multiply to at most 4096."""
+    D = draw(st.sampled_from([D for D in range(8, 65)
+                              if any(D % k == 0 for k in range(8, 17))]))
+    bigs = [k for k in range(8, 17) if D % k == 0]
+    big_a, big_b = draw(st.sampled_from(bigs)), draw(st.sampled_from(bigs))
+    assume(big_a * big_b * D <= 4096)
+
+    def side(tag, big):
+        rest = D // big
+        q = draw(st.sampled_from([q for q in range(1, rest + 1)
+                                  if rest % q == 0]))
+        dims = draw(st.sampled_from([[rest], [q, rest // q]]))
+        dims.insert(draw(st.integers(0, len(dims))), big)
+        return TensorSpace(tuple((f"{tag}{k + 1}", d)
+                                 for k, d in enumerate(dims)))
+    return side("a", big_a), side("b", big_b)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(legs=large_leg_splits(), seed=st.integers(0, 2**32 - 1))
+@example(legs=(TensorSpace((("a1", 16),)), TensorSpace((("b1", 16),))),
+         seed=1)
+@example(legs=(TensorSpace((("a1", 2), ("a2", 8), ("a3", 4))),
+               TensorSpace((("b1", 8), ("b2", 8)))), seed=2)
+def test_large_legs_match_the_commutator_oracle(legs, seed):
+    # many pairs k < l per input leg and many images per output leg,
+    # on Haar unitaries; tolerance scaled by |E (x) 1| |F (x) 1|
+    ins, outs = legs
+    D = ins.total_dim
+    u = UnitaryChannel(haar_unitary(D, np.random.default_rng(seed)),
+                       ins, outs)
+    rep = causal_structure_report(u)
+    for (a, b), raw in rep.raw_norms.items():
+        assert raw == pair_commutator_norm(u, a, b)
+        scale = np.sqrt(D / ins.dim(a)) * np.sqrt(D / outs.dim(b))
+        assert abs(raw - explicit_commutator_norm(u, a, b)) <= 1e-12 * scale
+
+
+@st.composite
+def large_leg_circuits(draw):
+    """(pairs, U): a random-circuit unitary V on a relation G up to
+    2 x 2, tensored with a Haar unitary from x to y, with x fused into
+    an input a of V so that the fused leg has dim 8-16, and y into an
+    output b; D <= 64.  Only the pairs of G and (a, b) may influence."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ins = tuple(f"a{i + 1}" for i in range(n))
+    outs = tuple(f"b{j + 1}" for j in range(m))
+    cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    G = Relation(ins, outs, frozenset(
+        p for p, on in zip(itertools.product(ins, outs), cells) if on))
+    seed = draw(st.integers(0, 2**32 - 1))
+    _, v = random_circuit_unitary(G, seed=seed)
+    a, b = draw(st.sampled_from(ins)), draw(st.sampled_from(outs))
+    da = v.in_space.dim(a)
+    assume(da <= 8)
+    dx = draw(st.integers(-(-8 // da), 16 // da))
+    assume(dx >= 2 and v.dim * dx <= 64)
+    w = UnitaryChannel(haar_unitary(dx, np.random.default_rng(seed)),
+                       TensorSpace((("x", dx),)), TensorSpace((("y", dx),)))
+    u = group_legs(v.tensor(w),
+                   [(l, [l, "x"] if l == a else [l]) for l in ins],
+                   [(l, [l, "y"] if l == b else [l]) for l in outs])
+    return G.pairs | {(a, b)}, u
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(case=large_leg_circuits())
+def test_no_influence_norms_at_roundoff_with_a_large_leg(case):
+    pairs, u = case
+    rep = causal_structure_report(u)
+    D = u.dim
+    assert rep.relation.pairs <= pairs
+    for (a, b), raw in rep.raw_norms.items():
+        if (a, b) not in pairs:
+            assert raw <= 1e-12 * np.sqrt(D / u.in_space.dim(a)) \
+                * np.sqrt(D / u.out_space.dim(b)), (a, b, raw)
+
+
+@pytest.mark.slow
+def test_product_of_a_qubit_and_a_64_level_unitary():
+    # U = H_2 (x) H_64: each side carries legs (2, 64) at D=128, and
+    # the (a2, b2) pair alone forms 2,080 images
+    rng = np.random.default_rng(0)
+    u = UnitaryChannel(np.kron(haar_unitary(2, rng), haar_unitary(64, rng)),
+                       TensorSpace((("a1", 2), ("a2", 64))),
+                       TensorSpace((("b1", 2), ("b2", 64))))
+    rep = causal_structure_report(u)
+    assert rep.relation.pairs == {("a1", "b1"), ("a2", "b2")}
+    for a, b in (("a1", "b2"), ("a2", "b1")):
+        assert rep.raw_norms[(a, b)] <= 1e-12 * np.sqrt(
+            128 / u.in_space.dim(a)) * np.sqrt(128 / u.out_space.dim(b))
 
 
 def test_nan_after_construction_reads_as_influence():

@@ -705,6 +705,17 @@ def test_non_unitary_matrix_exits_2(tmp_path, capsys):
     assert_input_error(capsys, "not unitary")
 
 
+def test_repeated_key_exits_2(tmp_path, capsys):
+    # plain json keeps the last value, so this leg used to load as dim 2
+    text = json.dumps(json.loads(unitary_to_json(u3()))).replace(
+        '{"label": "a1", "dim": 2}', '{"label": "a1", "dim": 3, "dim": 2}')
+    assert text.count('"dim": 3, "dim": 2') == 1
+    path = tmp_path / "u3.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    assert_input_error(capsys, "repeated key 'dim'")
+
+
 # -- exit codes and determinism ------------------------------------------
 
 

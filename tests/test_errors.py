@@ -69,6 +69,53 @@ def test_read_text_failures_are_input_errors(tmp_path):
             load(path)
 
 
+def repeated_key_text(doc, path, key, first):
+    """JSON text of ``doc`` whose object at ``path`` names ``key`` twice:
+    ``first``, then its own value, which plain json would keep."""
+    holder = {"doc": json.loads(json.dumps(doc))}
+    parent, step = holder, "doc"
+    for nxt in path:
+        parent, step = parent[step], nxt
+    parent[step] = {"\0repeat": first, **parent[step]}
+    return json.dumps(holder["doc"]).replace(json.dumps("\0repeat"),
+                                             json.dumps(key))
+
+
+def test_document_refuses_a_repeated_key():
+    fields = {"xs": list, "m": dict}
+    for text, key in [('{"xs": [], "m": {}, "xs": []}', "xs"),
+                      ('{"xs": [{"k": 1, "j": 0, "k": 1}], "m": {}}', "k")]:
+        with pytest.raises(InputError, match=f"repeated key '{key}'"):
+            document(text, "test", fields)
+    # one key in two objects is no repeat
+    assert document('{"xs": [{"k": 1}], "m": {"k": 2}}', "test",
+                    fields) == {"xs": [{"k": 1}], "m": {"k": 2}}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_repeated_top_level_key_is_input_error(name):
+    load, doc = LOADERS[name]
+    key = next(iter(doc))
+    text = repeated_key_text(doc, (), key, doc[key])
+    load(json.loads(text))
+    with pytest.raises(InputError, match=f"repeated key '{key}'"):
+        load(text)
+
+
+def test_repeated_leg_dim_and_gate_are_input_errors():
+    # plain json keeps the last value, so a leg {"dim": 3, "dim": 2}
+    # loaded as dim 2, and a circuit with two gates "1" kept the second
+    cases = [(unitary_from_json, repeated_key_text(
+                  U3_DOC, ("in", 0), "dim", 3), "dim"),
+             (circuit_from_json, repeated_key_text(
+                  CHAIN2_CIRCUIT, ("gates",), "1",
+                  CHAIN2_CIRCUIT["gates"]["0"]), "1")]
+    for load, text, key in cases:
+        load(json.loads(text))
+        with pytest.raises(InputError, match=f"repeated key '{key}'"):
+            load(text)
+
+
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_deeply_nested_document_is_input_error(name):
     # the parser raises RecursionError here, which used to escape the

@@ -16,6 +16,7 @@ that leaves every decision and residual check the same.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -312,7 +313,9 @@ def cmd_gallery(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared: do not modify it."""
     ap = argparse.ArgumentParser(
         prog="causaldeco",
         description="causal decomposition of unitaries over labeled "

@@ -9,9 +9,10 @@ shape") whose connectivity is exactly the relation: input a feeds a gate
 at lambda(a), output b leaves the gate at mu(b), and a reaches b along
 cover chains precisely when lambda(a) <= mu(b).
 
-The lattice is built directly: closed sets in one pass per output, and
-the upper covers of a node as the minimal closures of alpha plus one
-input.  Its size is capped in concepts, not labels (MAX_CONCEPTS).
+The lattice is built on bit masks over the sorted labels: closed sets
+in one pass per output, and the upper covers of a node as the minimal
+closures of alpha plus one input.  Its size is capped in concepts, not
+labels (MAX_CONCEPTS).
 
 Node identity is the sorted alpha tuple; nodes are listed sorted by
 (|alpha|, alpha), which is also a linear extension of the order.
@@ -19,14 +20,13 @@ Node identity is the sorted alpha tuple; nodes are listed sorted by
 
 from __future__ import annotations
 
+import collections
 import itertools
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError, NumericsError, document
-from .relations import Relation, children, parents
+from .relations import Relation, bit_masks
 
 # Most concepts a lattice may have.  A relation with at most 12 labels on
 # a side has at most 2^12 concepts, so all of those fit.
@@ -79,15 +79,15 @@ class ConceptLattice:
         self._leq = self._compute_leq()
         self._validate()
 
-    def _compute_leq(self) -> np.ndarray:
-        """Order matrix, top down: a node lies below itself and below
-        everything above its up-covers.  linear_extension refuses
+    def _compute_leq(self) -> list[int]:
+        """Per node, the mask of the nodes at or above it, top down: itself
+        and everything above its up-covers.  linear_extension refuses
         cyclic covers, so every cover (i, j) has i != j and j not <= i."""
-        leq = np.eye(len(self.nodes), dtype=bool)
+        above = [1 << i for i in range(len(self.nodes))]
         for i in reversed(self.linear_extension()):
             for j in self._up[i]:
-                leq[i] |= leq[j]
-        return leq
+                above[i] |= above[j]
+        return above
 
     def _validate(self):
         n = len(self.nodes)
@@ -105,19 +105,22 @@ class ConceptLattice:
         return len(self.nodes)
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self._leq[i, j])
+        return bool(self._leq[i] >> j & 1)
 
     def bottom(self) -> int:
-        mins = np.flatnonzero(self._leq.all(axis=1))
+        n = len(self.nodes)
+        mins = [i for i, up in enumerate(self._leq) if up.bit_count() == n]
         if len(mins) != 1:
             raise InputError("shape has no unique bottom node")
-        return int(mins[0])
+        return mins[0]
 
     def top(self) -> int:
-        maxs = np.flatnonzero(self._leq.all(axis=0))
-        if len(maxs) != 1:
+        common = (1 << len(self.nodes)) - 1
+        for up in self._leq:
+            common &= up
+        if common.bit_count() != 1:
             raise InputError("shape has no unique top node")
-        return int(maxs[0])
+        return common.bit_length() - 1
 
     def up_covers(self, i: int) -> list[int]:
         return list(self._up[i])
@@ -151,47 +154,61 @@ class ConceptLattice:
 
 # -- construction --------------------------------------------------------
 
-def enumerate_closed_input_sets(G: Relation) -> list[frozenset[str]]:
-    """All closed input sets, sorted by (size, sorted labels).
+def _labels(mask: int, labels) -> tuple[str, ...]:
+    return tuple(x for k, x in enumerate(labels) if mask >> k & 1)
 
-    They are the intersections of families of single-output parent sets
-    (the empty family gives all inputs), found in one pass per output.
-    Raises InputError beyond MAX_CONCEPTS closed sets.
-    """
-    closed = {frozenset(G.inputs)}
-    for b in G.outputs:
-        pb = parents(G, b)
+
+def _meet(mask: int, table: list[int], full: int) -> int:
+    """AND of ``table[k]`` over the set bits k of ``mask``, from ``full``."""
+    while mask:
+        low = mask & -mask
+        full &= table[low.bit_length() - 1]
+        mask ^= low
+    return full
+
+
+def _closed_sets(G: Relation):
+    """G's ``bit_masks`` and its closed input sets as (mask, labels) sorted
+    by (size, labels): the ANDs of families of parent masks, found in one
+    pass per output.  Raises InputError beyond MAX_CONCEPTS of them."""
+    ch, par = bit_masks(G)
+    closed = {(1 << len(ch)) - 1}
+    for pb in par.values():
         closed |= {s & pb for s in closed}
         if len(closed) > MAX_CONCEPTS:
-            raise InputError(
-                f"relation {len(G.inputs)}x{len(G.outputs)} has more than "
-                f"{MAX_CONCEPTS} concepts")
-    return sorted(closed, key=lambda s: (len(s), tuple(sorted(s))))
+            raise InputError(f"relation {len(ch)}x{len(par)} has more than "
+                             f"{MAX_CONCEPTS} concepts")
+    closed = [(s, _labels(s, ch)) for s in closed]
+    return ch, par, sorted(closed, key=lambda c: (len(c[1]), c[1]))
+
+
+def enumerate_closed_input_sets(G: Relation) -> list[frozenset[str]]:
+    """All closed input sets, sorted by (size, sorted labels)."""
+    return [frozenset(alpha) for _, alpha in _closed_sets(G)[2]]
 
 
 def build_concept_lattice(G: Relation) -> ConceptLattice:
     """Concept lattice of a relation, with covers, lambda and mu.
 
-    The upper covers of a node are the minimal closures of alpha plus one
-    input outside alpha; closures, lambda and mu are looked up by alpha.
+    Sets are masks over the sorted labels: beta is the AND of the child
+    masks over alpha, a closure the AND of the parent masks over its
+    outputs.  The upper covers of a node are the minimal closures u of
+    alpha plus one input, with no other such v where v & u == v.
     """
-    closed = enumerate_closed_input_sets(G)
-    index = {alpha: k for k, alpha in enumerate(closed)}
-    ch = {a: children(G, a) for a in G.inputs}
-    par = {b: parents(G, b) for b in G.outputs}
-    all_in, all_out = frozenset(G.inputs), frozenset(G.outputs)
-
-    def extent(beta):
-        return all_in.intersection(*(par[b] for b in beta))
-
+    ch, par, closed = _closed_sets(G)
+    chs, pars = list(ch.values()), list(par.values())
+    all_in, all_out = (1 << len(chs)) - 1, (1 << len(pars)) - 1
+    index = {alpha: k for k, (alpha, _) in enumerate(closed)}
     nodes, covers = [], []
-    for k, alpha in enumerate(closed):
-        beta = all_out.intersection(*(ch[a] for a in alpha))
-        nodes.append(ConceptNode(tuple(sorted(alpha)), tuple(sorted(beta))))
-        ups = {extent(beta & ch[a]) for a in G.inputs if a not in alpha}
-        covers += [(k, index[u]) for u in ups if not any(v < u for v in ups)]
+    for k, (alpha, labels) in enumerate(closed):
+        beta = _meet(alpha, chs, all_out)
+        nodes.append(ConceptNode(labels, _labels(beta, par)))
+        ups = {_meet(beta & c, pars, all_in)
+               for i, c in enumerate(chs) if not alpha >> i & 1}
+        covers += [(k, index[u]) for u in ups
+                   if not any(v & u == v for v in ups if v != u)]
     covers.sort()
-    lam = {a: index[extent(ch[a])] for a in G.inputs}
+    lam = {a: index[_meet(ch[a], pars, all_in)] for a in G.inputs}
     mu = {b: index[par[b]] for b in G.outputs}
     return ConceptLattice(G.inputs, G.outputs, nodes, covers, lam, mu)
 
@@ -370,9 +387,25 @@ def shape_from_json(data) -> ConceptLattice:
     data = document(data, "shape", {
         "inputs": list, "outputs": list, "nodes": list, "covers": list,
         "lambda": dict, "mu": dict})
+    ins, outs, lam, mu = (data["inputs"], data["outputs"], data["lambda"],
+                          data["mu"])
     try:
         nodes = [ConceptNode(nd["alpha"], nd["beta"]) for nd in data["nodes"]]
-        return ConceptLattice(data["inputs"], data["outputs"], nodes,
-                              data["covers"], data["lambda"], data["mu"])
+        covers = [tuple(c) for c in data["covers"]]
+        # the builder cannot make these faults, so only loading checks them
+        for what, items in (("input label", ins), ("output label", outs),
+                            ("cover", covers)):
+            twice = [x for x, k in collections.Counter(items).items() if k > 1]
+            if twice:
+                raise InputError(f"repeated {what} {twice[0]!r}")
+        for what, labels, known in (
+                ("node alpha", [a for nd in nodes for a in nd.alpha], ins),
+                ("node beta", [b for nd in nodes for b in nd.beta], outs),
+                ("lambda", lam, ins), ("mu", mu, outs)):
+            stray = set(labels) - set(known)
+            if stray:
+                raise InputError(f"{what} label {min(stray)!r} is not one "
+                                 "of the shape's labels")
+        return ConceptLattice(ins, outs, nodes, covers, lam, mu)
     except (TypeError, KeyError, ValueError) as e:
         raise InputError(f"malformed shape JSON: {e}") from e

@@ -108,6 +108,20 @@ def parents(G: Relation, b: str) -> frozenset[str]:
     return frozenset(a for a in G.inputs if (a, b) in G.pairs)
 
 
+def bit_masks(G: Relation) -> tuple[dict[str, int], dict[str, int]]:
+    """Each input's child set as a bit mask over the sorted outputs and
+    each output's parent set over the sorted inputs, bit k standing for
+    the k-th sorted label; both dicts are keyed in sorted label order."""
+    ins, outs = sorted(G.inputs), sorted(G.outputs)
+    ibit = {a: 1 << k for k, a in enumerate(ins)}
+    obit = {b: 1 << k for k, b in enumerate(outs)}
+    ch, par = dict.fromkeys(ins, 0), dict.fromkeys(outs, 0)
+    for a, b in G.pairs:
+        ch[a] |= obit[b]
+        par[b] |= ibit[a]
+    return ch, par
+
+
 def common_children(G: Relation, alpha) -> frozenset[str]:
     """Outputs reachable from every input in ``alpha``; all outputs if empty."""
     alpha = frozenset(alpha)
@@ -163,9 +177,8 @@ def _scan_for_pattern(G: Relation) -> C3Witness | None:
     so the first output triple is their three minima.  Child sets are
     bit masks over the sorted outputs.
     """
-    ins, outs = sorted(G.inputs), sorted(G.outputs)
-    ch = {a: sum(1 << k for k, b in enumerate(outs) if (a, b) in G.pairs)
-          for a in ins}
+    ch, _ = bit_masks(G)
+    ins, outs = list(ch), sorted(G.outputs)
     for a1, a2 in itertools.permutations(ins, 2):
         both, only2 = ch[a1] & ch[a2], ch[a2] & ~ch[a1]
         if not (both and only2):
@@ -183,12 +196,10 @@ def _intersection_criterion_ok(G: Relation) -> bool:
     """Equivalent test: for every output triple sharing a middle element,
     the parent sets of the two overlapping pairs are disjoint or nested.
     Parent sets are bit masks over the sorted inputs."""
-    ins, outs = sorted(G.inputs), sorted(G.outputs)
-    par = {b: sum(1 << k for k, a in enumerate(ins) if (a, b) in G.pairs)
-           for b in outs}
-    for b2 in outs:
+    _, par = bit_masks(G)
+    for b2 in par:
         # common parents of {b, b2} for every other output b, in label order
-        shared = [par[b] & par[b2] for b in outs if b != b2]
+        shared = [par[b] & par[b2] for b in par if b != b2]
         for p, q in itertools.combinations(shared, 2):
             # nested exactly when the overlap is one of the two sets
             if p & q not in (0, p, q):

@@ -716,6 +716,59 @@ def test_repeated_key_exits_2(tmp_path, capsys):
     assert_input_error(capsys, "repeated key 'dim'")
 
 
+@pytest.mark.parametrize("change, needle", [
+    (lambda doc: doc["covers"].append([0, 1]), "repeated cover (0, 1)"),
+    (lambda doc: doc["nodes"][0].update(alpha=["zz"]), "node alpha label"),
+    (lambda doc: doc["lambda"].update(zz=0), "lambda label 'zz'")])
+def test_verify_malformed_shape_exits_2(tmp_path, capsys, change, needle):
+    # each of these used to end in a wrong message or in "faithful: yes"
+    doc = json.loads(json.dumps(CHAIN2_CIRCUIT))
+    change(doc)
+    paths = {}
+    for name, body in (("u", CHAIN2_U), ("circ", doc), ("rel", CHAIN2_REL)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(body))
+    assert main(["verify", str(paths["u"]), str(paths["circ"]),
+                 str(paths["rel"])]) == 2
+    assert_input_error(capsys, needle)
+
+
+# -- the shared parser ---------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_output_format_does_not_carry_over(capsys, c3_file):
+    assert main(["check", c3_file, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["satisfied"] is False
+    assert main(["check", c3_file]) == 1
+    assert capsys.readouterr().out.startswith("Violated\nwitness: ")
+
+
+def test_tolerance_does_not_carry_over(tmp_path, capsys):
+    _, U = random_circuit_unitary(chain2_relation(), seed=3)
+    path = write_unitary(tmp_path / "chain2.json", U)
+    assert main(["analyze", path, "--tol", "1e-3", "--json"]) == 0
+    loose = json.loads(capsys.readouterr().out)["thresholds"]
+    assert main(["analyze", path, "--json"]) == 0
+    default = json.loads(capsys.readouterr().out)["thresholds"]
+    rep = causal_structure_report(load_unitary(path))
+    assert default == {f"{a}->{b}": cut
+                       for (a, b), cut in rep.thresholds.items()}
+    assert loose != default
+
+
+def test_usage_error_leaves_the_parser_usable(capsys, c3_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["check", c3_file, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["satisfied"] is False
+
+
 # -- exit codes and determinism ------------------------------------------
 
 

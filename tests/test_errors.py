@@ -2,6 +2,7 @@
 ``errors``, and every failure there, or in a loader after it, or in a
 user tolerance, ends as InputError."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -38,6 +39,22 @@ FILE_LOADERS = [load_relation, load_unitary, load_circuit]
 def test_json_is_parsed_only_in_errors():
     offenders = [p.name for p in sorted(SRC.glob("*.py"))
                  if p.name != "errors.py" and "json.loads" in p.read_text()]
+    assert offenders == []
+
+
+def test_screening_modules_import_no_numpy():
+    # the relation scan and the lattice build run on Python ints only
+    offenders = []
+    for name in ("lattice.py", "relations.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [(name, m) for m in modules
+                          if m.split(".")[0] == "numpy"]
     assert offenders == []
 
 
@@ -194,6 +211,47 @@ def test_bool_cover_index_is_input_error():
         doc["covers"][0][0] = False
         with pytest.raises(InputError, match="invalid cover"):
             load(doc)
+
+
+def _both_shape_loaders(change, needle):
+    """``change`` applied to a shape and to a circuit document makes each
+    loader raise InputError matching ``needle``."""
+    for load, doc in ((shape_from_json, FANS_SHAPE),
+                      (circuit_from_json, CHAIN2_CIRCUIT)):
+        doc = _with(doc)
+        change(doc)
+        with pytest.raises(InputError, match=needle):
+            load(doc)
+
+
+def test_repeated_cover_is_input_error():
+    # a repeated cover was counted twice by the path counts, and a
+    # circuit reported it as a gate of the wrong size
+    _both_shape_loaders(lambda doc: doc["covers"].append(doc["covers"][0]),
+                        r"repeated cover \(0, 1\)")
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_repeated_label_is_input_error(side):
+    def change(doc):
+        doc[side + "s"].append(doc[side + "s"][0])
+    _both_shape_loaders(change, f"repeated {side} label")
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_node_label_outside_the_shape_is_input_error(field):
+    # a node alpha ["zz"] used to load, and verify to call it faithful
+    def change(doc):
+        doc["nodes"][-1][field] = ["zz"]
+    _both_shape_loaders(change, f"node {field} label 'zz' is not one of")
+
+
+@pytest.mark.parametrize("field", ["lambda", "mu"])
+def test_attachment_key_outside_the_shape_is_input_error(field):
+    # an extra "lambda": {"zz": 0} used to load unnoticed
+    def change(doc):
+        doc[field]["zz"] = 0
+    _both_shape_loaders(change, f"{field} label 'zz' is not one of")
 
 
 def test_non_unitary_matrix_is_input_error():

@@ -8,6 +8,7 @@ attachment maps.
 import itertools
 import json
 import math
+import random
 import re
 
 import pytest
@@ -15,14 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 from causaldeco.cli import main
 from causaldeco.errors import InputError
-from causaldeco.lattice import (MAX_CONCEPTS, build_concept_lattice,
-                                check_c3ep_lattice, connectivity, count_paths,
+from causaldeco.lattice import (MAX_CONCEPTS, ConceptLattice, ConceptNode,
+                                build_concept_lattice, check_c3ep_lattice,
+                                connectivity, count_paths,
                                 enumerate_closed_input_sets,
                                 overlap_lemma_check, shape_from_json,
                                 shape_to_json, to_dot)
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
-                                  check_c3ep, closure_inputs, fan_in_relation,
-                                  fan_out_relation, overlapping_fans_relation,
+                                  check_c3ep, children, closure_inputs,
+                                  fan_in_relation, fan_out_relation,
+                                  overlapping_fans_relation, parents,
                                   relation_to_json, swap_relation)
 
 
@@ -274,11 +277,8 @@ def test_connectivity_property(G):
     assert connectivity(build_concept_lattice(G)).same_pairs(G)
 
 
-@PROPERTY
-@given(G=small_relations())
-def test_order_matrix_equals_warshall(G):
-    # oracle: Warshall's transitive closure of the covers
-    shape = build_concept_lattice(G)
+def _warshall(shape):
+    """Oracle order matrix: Warshall's transitive closure of the covers."""
     n = len(shape)
     leq = [[i == j or (i, j) in shape.covers for j in range(n)]
            for i in range(n)]
@@ -286,7 +286,46 @@ def test_order_matrix_equals_warshall(G):
         for i in range(n):
             for j in range(n):
                 leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    return leq
+
+
+def _assert_order_matches_warshall(shape):
+    n = len(shape)
+    leq = _warshall(shape)
     assert [[shape.leq(i, j) for j in range(n)] for i in range(n)] == leq
+    # the oracle's unique least and greatest nodes, or the refusal
+    for pick, extreme in ((shape.bottom, lambda i: all(leq[i])),
+                          (shape.top, lambda j: all(r[j] for r in leq))):
+        found = [i for i in range(n) if extreme(i)]
+        if len(found) == 1:
+            assert pick() == found[0]
+        else:
+            with pytest.raises(InputError, match="no unique"):
+                pick()
+
+
+@PROPERTY
+@given(G=small_relations())
+def test_order_matrix_equals_warshall(G):
+    _assert_order_matches_warshall(build_concept_lattice(G))
+
+
+@PROPERTY
+@given(G=small_relations(), data=st.data())
+def test_loaded_order_equals_warshall(G, data):
+    # a loaded shape may list its nodes in any order and need not be a
+    # lattice: here the nodes are permuted and some covers dropped
+    doc = shape_to_json(build_concept_lattice(G))
+    n = len(doc["nodes"])
+    perm = data.draw(st.permutations(range(n)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(doc["covers"]),
+                              max_size=len(doc["covers"])))
+    doc["nodes"] = [doc["nodes"][perm.index(k)] for k in range(n)]
+    doc["covers"] = [[perm[i], perm[j]] for (i, j), on
+                     in zip(doc["covers"], keep) if on]
+    for key in ("lambda", "mu"):
+        doc[key] = {x: perm[v] for x, v in doc[key].items()}
+    _assert_order_matches_warshall(shape_from_json(json.dumps(doc)))
 
 
 @PROPERTY
@@ -311,3 +350,69 @@ def test_lattice_c3_routes_agree_with_the_relational_ones(G):
         assert paths == count_paths(shape, a, b) > 1
         with pytest.raises(InputError):
             overlap_lemma_check(shape)
+
+
+# -- the mask build against the frozenset build it replaced ---------------
+
+def _frozenset_lattice(G):
+    """Reference build on frozensets of labels: closed sets as the
+    intersections of parent sets, one pass per output, and the upper
+    covers as the minimal closures of alpha plus one input."""
+    closed = {frozenset(G.inputs)}
+    for b in G.outputs:
+        closed |= {s & parents(G, b) for s in closed}
+    closed = sorted(closed, key=lambda s: (len(s), tuple(sorted(s))))
+    index = {alpha: k for k, alpha in enumerate(closed)}
+    ch = {a: children(G, a) for a in G.inputs}
+    par = {b: parents(G, b) for b in G.outputs}
+    all_in, all_out = frozenset(G.inputs), frozenset(G.outputs)
+
+    def extent(beta):
+        return all_in.intersection(*(par[b] for b in beta))
+
+    nodes, covers = [], []
+    for k, alpha in enumerate(closed):
+        beta = all_out.intersection(*(ch[a] for a in alpha))
+        nodes.append(ConceptNode(tuple(sorted(alpha)), tuple(sorted(beta))))
+        ups = {extent(beta & ch[a]) for a in G.inputs if a not in alpha}
+        covers += [(k, index[u]) for u in ups if not any(v < u for v in ups)]
+    lam = {a: index[extent(ch[a])] for a in G.inputs}
+    mu = {b: index[par[b]] for b in G.outputs}
+    return closed, ConceptLattice(G.inputs, G.outputs, nodes, sorted(covers),
+                                  lam, mu)
+
+
+def _assert_same_as_frozenset_build(G):
+    closed, reference = _frozenset_lattice(G)
+    assert enumerate_closed_input_sets(G) == closed
+    assert shape_to_json(build_concept_lattice(G)) == \
+        shape_to_json(reference)
+
+
+@PROPERTY
+@given(G=small_relations())
+def test_mask_build_equals_frozenset_build(G):
+    _assert_same_as_frozenset_build(G)
+
+
+def _shuffled(rng, n_in, n_out, pairs):
+    """The relation on index pairs (i, j), with the labels of both sides
+    shuffled, so that their sorted order is not the index order."""
+    ins = rng.sample([f"x{k:02d}" for k in range(n_in)], n_in)
+    outs = rng.sample([f"y{k:02d}" for k in range(n_out)], n_out)
+    return Relation(tuple(ins), tuple(outs),
+                    frozenset((ins[i], outs[j]) for i, j in pairs))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mask_build_equals_frozenset_build_on_screening_shapes(seed):
+    # the benchmark's screening shapes: 12x12 staircases, and
+    # contranominal-9 (512 concepts) with an extra input reaching every
+    # output or an extra output reached by every input
+    rng = random.Random(seed)
+    stair = [(i, j) for i in range(12) for j in range(i + 1)]
+    contra = [(i, j) for i in range(9) for j in range(9) if i != j]
+    for n_in, n_out, pairs in ((12, 12, stair),
+                               (10, 9, contra + [(9, j) for j in range(9)]),
+                               (9, 10, contra + [(i, 9) for i in range(9)])):
+        _assert_same_as_frozenset_build(_shuffled(rng, n_in, n_out, pairs))

@@ -8,16 +8,18 @@ structure of a unitary), decompose (synthesize a circuit), verify
 
 Exit codes: 0 success or satisfied, 1 principled refusal or violation,
 2 malformed input, 3 numerical assertion failure (a LAPACK routine that
-does not converge included) or out of memory.  All randomness is seeded
-(default seed 0), so every decision is reproducible, and the output
-is reproducible byte for byte on the same numpy and BLAS build; across
-builds a gate may differ by a gauge (a change of basis on its wires)
-that leaves every decision and residual check the same.
+does not converge included) or out of memory, 141 stdout closed by its
+reader.  All randomness is seeded (default seed 0), so every decision
+is reproducible, and the output is reproducible byte for byte on the
+same numpy and BLAS build; across builds a gate may differ by a gauge
+(a change of basis on its wires) that leaves every decision and
+residual check the same.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -35,8 +37,44 @@ from .decompose import (FAILED, RECOMPOSE_TOL, SUCCESS, decompose,
 from .gallery import build_counterexample, loose_wires_c3, u3
 
 
+# compact JSON shorter than this is indented faster by the stdlib
+_SHORT_JSON = 1024
+
+
 def _dump(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte: the
+    C encoder writes compact text, and array ops break and indent it
+    outside strings, found by quote parity (escapes take the stdlib path,
+    as ``indent`` alone would make ``json`` take its pure-Python one)."""
+    text = json.dumps(data, sort_keys=True, separators=(",", ": "))
+    if len(text) < _SHORT_JSON or "\\" in text:
+        return json.dumps(data, indent=2, sort_keys=True)
+    b = np.frombuffer(text.encode(), np.uint8)
+    outside = ~np.bitwise_xor.accumulate(b == ord('"'))
+    opens = ((b == ord("[")) | (b == ord("{"))) & outside
+    closes = ((b == ord("]")) | (b == ord("}"))) & outside
+    # breaks after commas, after non-empty opens and before their closes
+    brk = (b == ord(",")) & outside
+    brk[:-1] |= opens[:-1] ^ closes[1:]
+    step = opens.view(np.int8)  # opens minus closes, in place
+    step -= closes
+    # bytes inserted after each byte: at a break, a newline and two spaces
+    # per depth after the byte, or after the close it precedes
+    ins = np.cumsum(step, dtype=np.int32)
+    ins[:-1] -= closes[1:]
+    ins *= 2
+    ins += 1
+    ins *= brk
+    # their running total, shifted by one and added to each byte's index,
+    # is the byte's place in the output
+    np.cumsum(ins, out=ins)
+    out = np.full(len(b) + ins[-1], ord(" "), np.uint8)
+    ins[1:] = ins[:-1]
+    ins[0] = 0
+    ins += np.arange(len(b), dtype=np.int32)
+    out[ins] = b
+    out[ins[brk] + 1] = ord("\n")
+    return str(out, "ascii")
 
 
 def _witness_line(witness) -> str:
@@ -399,6 +437,10 @@ def main(argv=None) -> int:
         # converge is a numerical failure, not malformed input
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader left (`| head`): not bad input; devnull quiets exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except MemoryError as exc:
         print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3

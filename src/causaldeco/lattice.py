@@ -10,9 +10,9 @@ at lambda(a), output b leaves the gate at mu(b), and a reaches b along
 cover chains precisely when lambda(a) <= mu(b).
 
 The lattice is built on bit masks over the sorted labels: closed sets
-in one pass per output, and the upper covers of a node as the minimal
-closures of alpha plus one input.  Its size is capped in concepts, not
-labels (MAX_CONCEPTS).
+in one pass per output, and the upper covers of a node by Lindig's
+neighbour test over the closures of alpha plus one input.  Its size is
+capped in concepts, not labels (MAX_CONCEPTS).
 
 Node identity is the sorted alpha tuple; nodes are listed sorted by
 (|alpha|, alpha), which is also a linear extension of the order.
@@ -76,15 +76,21 @@ class ConceptLattice:
                 raise InputError(f"invalid cover ({i},{j})")
             self._up[i].append(j)
             self._down[j].append(i)
+        # (|alpha|, alpha) orders the nodes bottom up, as a strict subset
+        # is smaller; a cover that runs down this order closes a cycle
+        self._order = sorted(range(n), key=lambda i: (
+            len(self.nodes[i].alpha), self.nodes[i].alpha, i))
+        rank = {i: r for r, i in enumerate(self._order)}
+        if any(rank[i] >= rank[j] for i, j in self.covers):
+            raise InputError("cover DAG is not acyclic")
         self._leq = self._compute_leq()
         self._validate()
 
     def _compute_leq(self) -> list[int]:
         """Per node, the mask of the nodes at or above it, top down: itself
-        and everything above its up-covers.  linear_extension refuses
-        cyclic covers, so every cover (i, j) has i != j and j not <= i."""
+        and everything above its up-covers, over the acyclic order."""
         above = [1 << i for i in range(len(self.nodes))]
-        for i in reversed(self.linear_extension()):
+        for i in reversed(self._order):
             for j in self._up[i]:
                 above[i] |= above[j]
         return above
@@ -135,21 +141,9 @@ class ConceptLattice:
         return sorted(b for b in self.outputs if self.mu[b] == i)
 
     def linear_extension(self) -> list[int]:
-        """Node indices ordered by (|alpha|, alpha): bottom-up traversal.
-
-        A strict subset has strictly smaller size, so this key is a
-        topological order of the cover DAG; verified before returning.
-        """
-        n = len(self.nodes)
-        order = sorted(range(n), key=lambda i: (len(self.nodes[i].alpha),
-                                                self.nodes[i].alpha, i))
-        seen = set()
-        for i in order:
-            for d in self._down[i]:
-                if d not in seen:
-                    raise InputError("cover DAG is not acyclic")
-            seen.add(i)
-        return order
+        """Node indices ordered by (|alpha|, alpha): bottom-up traversal,
+        sorted and checked once, by the constructor."""
+        return list(self._order)
 
 
 # -- construction --------------------------------------------------------
@@ -192,8 +186,9 @@ def build_concept_lattice(G: Relation) -> ConceptLattice:
 
     Sets are masks over the sorted labels: beta is the AND of the child
     masks over alpha, a closure the AND of the parent masks over its
-    outputs.  The upper covers of a node are the minimal closures u of
-    alpha plus one input, with no other such v where v & u == v.
+    outputs.  Upper covers come from Lindig's neighbour test: the closure
+    u of alpha plus input i is a cover unless u holds another input still
+    free, and i is dropped when it is not, so each cover is emitted once.
     """
     ch, par, closed = _closed_sets(G)
     chs, pars = list(ch.values()), list(par.values())
@@ -203,10 +198,14 @@ def build_concept_lattice(G: Relation) -> ConceptLattice:
     for k, (alpha, labels) in enumerate(closed):
         beta = _meet(alpha, chs, all_out)
         nodes.append(ConceptNode(labels, _labels(beta, par)))
-        ups = {_meet(beta & c, pars, all_in)
-               for i, c in enumerate(chs) if not alpha >> i & 1}
-        covers += [(k, index[u]) for u in ups
-                   if not any(v & u == v for v in ups if v != u)]
+        free = all_in & ~alpha
+        for i, c in enumerate(chs):
+            if free >> i & 1:
+                u = _meet(beta & c, pars, all_in)
+                if u & free & ~(1 << i):
+                    free &= ~(1 << i)
+                else:
+                    covers.append((k, index[u]))
     covers.sort()
     lam = {a: index[_meet(ch[a], pars, all_in)] for a in G.inputs}
     mu = {b: index[par[b]] for b in G.outputs}
@@ -221,12 +220,11 @@ def connectivity(shape: ConceptLattice) -> Relation:
     return Relation(shape.inputs, shape.outputs, frozenset(pairs))
 
 
-def _path_counts(shape: ConceptLattice, src: int, order) -> list[int]:
-    """Number of cover-edge paths from node ``src`` to every node, with
-    ``order`` a linear extension of the shape."""
+def _path_counts(shape: ConceptLattice, src: int) -> list[int]:
+    """Number of cover-edge paths from node ``src`` to every node."""
     counts = [0] * len(shape.nodes)
     counts[src] = 1
-    for i in order:
+    for i in shape._order:
         if i != src:
             counts[i] = sum(counts[d] for d in shape._down[i])
     return counts
@@ -238,8 +236,7 @@ def count_paths(shape: ConceptLattice, a: str, b: str) -> int:
         raise InputError(f"unknown input {a!r}")
     if b not in shape.mu:
         raise InputError(f"unknown output {b!r}")
-    counts = _path_counts(shape, shape.lam[a], shape.linear_extension())
-    return counts[shape.mu[b]]
+    return _path_counts(shape, shape.lam[a])[shape.mu[b]]
 
 
 @dataclass(frozen=True)
@@ -274,8 +271,7 @@ def check_c3ep_lattice(shape: ConceptLattice) -> LatticeC3Result:
     are provably equivalent, so disagreement raises NumericsError.
     Comparing with the relational route is the caller's job.
     """
-    order = shape.linear_extension()
-    paths = {a: _path_counts(shape, shape.lam[a], order) for a in shape.inputs}
+    paths = {a: _path_counts(shape, shape.lam[a]) for a in shape.inputs}
     evidence = next(((a, b, paths[a][shape.mu[b]])
                      for a in sorted(shape.inputs)
                      for b in sorted(shape.outputs)
@@ -342,7 +338,7 @@ def to_dot(shape: ConceptLattice) -> str:
     """Graphviz rendering: cover edges drawn upward, dashed stubs for
     attached inputs and outputs, nodes ranked by height."""
     heights = {}
-    for i in shape.linear_extension():
+    for i in shape._order:
         downs = shape.down_covers(i)
         heights[i] = 0 if not downs else 1 + max(heights[d] for d in downs)
     lines = ["digraph shape {", "  rankdir=BT;",

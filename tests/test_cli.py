@@ -1,14 +1,17 @@
 """Command line front end: subcommands, exit codes, output formats."""
 
+import ast
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +21,12 @@ from causaldeco.causal import (INFLUENCE_REL_TOL, UnitaryChannel,
                                causal_structure_report, load_unitary,
                                unitary_to_json)
 from causaldeco.circuits import load_circuit, random_circuit_unitary
-from causaldeco.cli import build_parser, main
+import causaldeco.cli
+from causaldeco.cli import _SHORT_JSON, _dump, build_parser, main
 from causaldeco.decompose import RECOMPOSE_TOL
 from causaldeco.gallery import u3
-from causaldeco.lattice import connectivity, shape_from_json
+from causaldeco.lattice import (build_concept_lattice, connectivity,
+                                shape_from_json, shape_to_json)
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
                                   full_relation, overlapping_fans_relation,
                                   relation_to_json, swap_relation)
@@ -731,6 +736,110 @@ def test_verify_malformed_shape_exits_2(tmp_path, capsys, change, needle):
     assert main(["verify", str(paths["u"]), str(paths["circ"]),
                  str(paths["rel"])]) == 2
     assert_input_error(capsys, needle)
+
+
+# -- the JSON writer -----------------------------------------------------
+
+
+def contranominal(n):
+    """a_i reaches every b_j with j != i: 2^n concepts."""
+    ins = tuple(f"a{i:02d}" for i in range(n))
+    outs = tuple(f"b{i:02d}" for i in range(n))
+    return Relation(ins, outs, frozenset(
+        (ins[i], outs[j]) for i in range(n) for j in range(n) if i != j))
+
+
+def test_closed_pipe_exits_141_quietly(tmp_path):
+    # the contranominal-9 shape JSON (512 concepts) outgrows a pipe
+    # buffer, so the writer meets the closed pipe mid-write
+    rel = write_relation(tmp_path / "c9.json", contranominal(9))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "causaldeco.cli", "lattice", rel, "--format",
+         "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=source_env())
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141
+    assert err == b""
+
+
+def assert_dump_is_indent(data):
+    got, want = _dump(data), json.dumps(data, indent=2, sort_keys=True)
+    if got != want:
+        # pytest's own diff of two long texts can take minutes
+        k = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y),
+                 min(len(got), len(want)))
+        pytest.fail(f"first difference at {k} of {len(want)}: "
+                    f"{got[k - 30:k + 30]!r} != {want[k - 30:k + 30]!r}")
+
+
+def writes_by_array_ops(data) -> bool:
+    """Whether ``_dump`` takes the array path on ``data``, after checking
+    its text."""
+    with mock.patch.object(causaldeco.cli.np, "frombuffer",
+                           wraps=np.frombuffer) as spy:
+        assert_dump_is_indent(data)
+    return spy.called
+
+
+JSON_TEXT = st.text(alphabet='ab"\\[]{},: \n\té', max_size=6)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | JSON_TEXT,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(JSON_TEXT, kids, max_size=5),
+    max_leaves=40)
+PROPERTY = settings(max_examples=200, derandomize=True, deadline=None,
+                    database=None)
+
+
+@PROPERTY
+@given(data=JSON_TREES)
+def test_dump_is_the_stdlib_indent(data):
+    assert_dump_is_indent(data)
+    # every tree through the array path too, however short its text
+    with mock.patch.object(causaldeco.cli, "_SHORT_JSON", 0):
+        assert_dump_is_indent(data)
+
+
+def test_dump_paths():
+    # compact text one byte either side of the cutoff: {"k": "xx..."}
+    short = {"k": "x" * (_SHORT_JSON - 10)}
+    assert len(json.dumps(short)) == _SHORT_JSON - 1
+    assert not writes_by_array_ops(short)
+    assert writes_by_array_ops({"k": "x" * (_SHORT_JSON - 9)})
+    nested = {"k[": [[], {}, [[{}]], {"a": [1, {"b": []}]}, "]},"]}
+    assert writes_by_array_ops([nested] * 40)
+    # an escape breaks quote parity, so it takes the stdlib path; so
+    # does a non-ASCII label, escaped by ensure_ascii
+    for label in ('say "hi"', "back\\slash", "new\nline", "é"):
+        assert not writes_by_array_ops([nested] * 40 + [label])
+
+
+def test_dump_of_the_largest_shape():
+    shape = shape_to_json(build_concept_lattice(contranominal(12)))
+    assert len(shape["nodes"]) == 4096
+    assert writes_by_array_ops(shape)
+
+
+def test_json_is_written_only_by_dump():
+    # every JSON document the CLI prints comes from _dump, which the
+    # tests above hold to the stdlib's indented text
+    tree = ast.parse((REPO_ROOT / "src" / "causaldeco" / "cli.py").read_text())
+
+    def dumps(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "dumps"
+                or isinstance(n, ast.Name) and n.id == "dumps"]
+    inside = [n for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "_dump" for n in dumps(f)]
+    assert inside and len(dumps(tree)) == len(inside)
 
 
 # -- the shared parser ---------------------------------------------------

@@ -385,8 +385,9 @@ def _frozenset_lattice(G):
 def _assert_same_as_frozenset_build(G):
     closed, reference = _frozenset_lattice(G)
     assert enumerate_closed_input_sets(G) == closed
-    assert shape_to_json(build_concept_lattice(G)) == \
-        shape_to_json(reference)
+    shape = build_concept_lattice(G)
+    assert shape_to_json(shape) == shape_to_json(reference)
+    assert to_dot(shape) == to_dot(reference)
 
 
 @PROPERTY
@@ -416,3 +417,27 @@ def test_mask_build_equals_frozenset_build_on_screening_shapes(seed):
                                (10, 9, contra + [(9, j) for j in range(9)]),
                                (9, 10, contra + [(i, 9) for i in range(9)])):
         _assert_same_as_frozenset_build(_shuffled(rng, n_in, n_out, pairs))
+
+
+@pytest.mark.parametrize("n_in, n_out, pairs", [
+    # x00..x02 share one child set and x03, x04 another, so each of
+    # their covers is the closure of several inputs
+    (5, 3, [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]),
+    # x03 has no children and y02 no parents
+    (4, 3, [(0, 0), (0, 1), (1, 1), (2, 0)]),
+    # contranominal-6 with every input doubled: each of the 64 concepts'
+    # covers is reached from two inputs
+    (12, 6, [(i + k, j) for i in range(6) for j in range(6) if i != j
+             for k in (0, 6)]),
+])
+def test_mask_build_equals_frozenset_build_where_inputs_share_covers(
+        n_in, n_out, pairs):
+    # the neighbour test drops an input when its closure holds another
+    # input still free, which these relations exercise on every node
+    for seed in range(3):
+        _assert_same_as_frozenset_build(
+            _shuffled(random.Random(seed), n_in, n_out, pairs))
+
+
+def test_mask_build_equals_frozenset_build_on_contranominal_12():
+    _assert_same_as_frozenset_build(_contranominal(12))

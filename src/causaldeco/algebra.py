@@ -35,27 +35,32 @@ uses its own generator, so repeated runs give identical results.  The
 hypothesis checks (centre, commutant, pairwise commutation, support)
 test two generic Hermitian elements of each algebra, drawn from the
 fixed seed _GENERIC_SEED; a reduction's generic elements continue the
-same sequence.  A generic pair generates the whole algebra
-with probability 1 (their commutant is the algebra's commutant), and
-commutation and support are bilinear or linear conditions, so a pair
-that passes them makes them hold on the whole span.  A degenerate draw
-can only make a centre or commutant too large, which refuses a factor
-or fails a later verification; it never produces a wrong success.  The
-factor test's matrix-unit identity is bilinear too, so the pair decides
-it; a degenerate pair that meets it by coincidence still cannot pass a
-wrong circuit, since the recomposition gate checks every success.
+same sequence, drawn once per algebra and cached read-only.  A generic
+pair generates the whole algebra with probability 1 (their commutant is
+the algebra's commutant), and commutation and support are bilinear or
+linear conditions, so a pair that passes them makes them hold on the
+whole span.  A degenerate draw can only make a centre or commutant too
+large, which refuses a factor or fails a later verification; it never
+produces a wrong success.  The factor test's matrix-unit identity is
+bilinear too, so the pair decides it; a degenerate pair that meets it by
+coincidence still cannot pass a wrong circuit, since the recomposition
+gate checks every success.
 
 Numerical policy: rank decisions read singular values and right vectors
 only (a tall matrix goes through its QR factor R first, so no left
 factor is formed), cut at a relative threshold scaled by sqrt(dimension),
 and refuse non-finite input; residuals that the mathematics says must
 vanish are checked against relative tolerances and raise NumericsError.
+Some rank solves are settled without an SVD: a closure round whose
+Frobenius norm is at most its floor times sqrt(n) adds nothing (s_max <=
+||m||_F), and a span of d^2 elements is all of M_d, kept as its matrix
+units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,9 +121,10 @@ def orthonormalize(mats, floor=0.0) -> np.ndarray:
         return mats.reshape(0, *mats.shape[1:])
     d = mats.shape[1]
     m = mats.reshape(len(mats), -1)
-    s, vh = _row_space(m)
-    if s.size == 0 or s[0] == 0.0:
+    # s_max <= ||m||_F: a zero stack, or one under the floor, has rank 0
+    if np.linalg.norm(m) <= floor * np.sqrt(max(m.shape)):
         return np.zeros((0, d, d), dtype=complex)
+    s, vh = _row_space(m)
     cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
     r = int(np.sum(~(s <= cut)))
     return vh[:r].reshape(r, d, d)
@@ -130,6 +136,7 @@ class MatrixSubalgebra:
 
     ambient: TensorSpace
     basis: np.ndarray
+    _draws: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=complex)
@@ -144,8 +151,8 @@ class MatrixSubalgebra:
         return self.basis.shape[0]
 
     def coefficients(self, mat) -> np.ndarray:
-        return self.basis.reshape(self.dim, -1).conj() @ \
-            np.asarray(mat, complex).reshape(-1)
+        return (self.basis.reshape(self.dim, -1)
+                @ np.asarray(mat, complex).reshape(-1).conj()).conj()
 
     def project(self, mat) -> np.ndarray:
         coeff = self.coefficients(mat)
@@ -167,16 +174,22 @@ class MatrixSubalgebra:
     def same_span(self, other: "MatrixSubalgebra") -> bool:
         return self.dim == other.dim and self.spans_subspace_of(other)
 
+    def generic_elements(self, count) -> np.ndarray:
+        """The first ``count`` generic Hermitian elements of the span,
+        drawn once per algebra (again for a longer run), read-only."""
+        if self._draws is None or len(self._draws) < count:
+            self._draws = _generic_elements(self.basis, count)
+            self._draws.flags.writeable = False
+        return self._draws[:count]
+
     def test_elements(self) -> np.ndarray:
         """Two generic Hermitian elements of the span, drawn from
         _GENERIC_SEED; they generate the algebra with probability 1."""
-        return _generic_elements(self.basis, 2)
+        return self.generic_elements(2)
 
     @classmethod
     def full(cls, ambient: TensorSpace) -> "MatrixSubalgebra":
-        d = ambient.total_dim
-        basis = np.stack(matrix_units(d))
-        return cls(ambient, basis)
+        return cls(ambient, np.stack(matrix_units(ambient.total_dim)))
 
     @classmethod
     def scalars(cls, ambient: TensorSpace) -> "MatrixSubalgebra":
@@ -197,7 +210,8 @@ def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
     Orthonormalises the identity, the matrices and their adjoints once;
     that seed both starts the span and multiplies it from the left.
     Once the span is stable under left multiplication by the seed it
-    contains all words in the matrices, hence the algebra.
+    contains all words in the matrices, hence the algebra.  A span of
+    d^2 elements is all of M_d, returned as its matrix units.
     """
     d = ambient.total_dim
     gens = [np.asarray(g, dtype=complex) for g in mats]
@@ -215,9 +229,11 @@ def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
         floor = SVD_RANK_REL * np.linalg.norm(vp, axis=1).max()
         new = orthonormalize(resid.reshape(-1, d, d), floor=floor)
         if new.shape[0] == 0:
+            return MatrixSubalgebra(ambient, basis)
+        if len(basis) + len(new) >= d * d:
             break
         basis = orthonormalize(np.concatenate([basis, new]))
-    return MatrixSubalgebra(ambient, basis)
+    return MatrixSubalgebra.full(ambient)
 
 
 def _commuting_part(basis, test) -> np.ndarray:
@@ -580,14 +596,16 @@ def reduce_onto_legs(B: MatrixSubalgebra, target_labels) -> MatrixSubalgebra:
     d_t = target_space.total_dim
     d_rest = ambient.total_dim // d_t
     n = max(2, -(-d_t * d_t // (d_rest * d_rest)))
-    mats = B.basis if n >= B.dim else _generic_elements(B.basis, n)
+    mats = B.basis if n >= B.dim else B.generic_elements(n)
     k = len(ambient.labels)
     legs = [[1 + ambient.index(l) for l in ls]
             for ls in (ambient.complement(target_labels), target_labels)]
     axes = [0] + [a + shift for ls in legs for shift in (0, k) for a in ls]
     blocks = mats.reshape((len(mats),) + ambient.dims * 2).transpose(axes)
-    return algebra_closure(target_space,
-                           orthonormalize(blocks.reshape(-1, d_t, d_t)))
+    blocks = orthonormalize(blocks.reshape(-1, d_t, d_t))
+    if len(blocks) == d_t * d_t:
+        return MatrixSubalgebra.full(target_space)
+    return algebra_closure(target_space, blocks)
 
 
 @dataclass
@@ -745,8 +763,9 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
         sec_space = TensorSpace((("s", r),))
         comp = []
         for alg in reduced:
-            mats = [dagger(q) @ m @ q for m in alg.basis]
-            cb = orthonormalize(np.stack(mats))
+            cb = dagger(q) @ alg.basis @ q
+            if r < d_a:  # a unitary q keeps the basis orthonormal
+                cb = orthonormalize(cb)
             comp.append(MatrixSubalgebra(sec_space, cb))
         iso_i, dims_i = split_commuting_factors(
             comp, seed=int(rng.integers(0, 2**31)))

@@ -197,15 +197,15 @@ def heisenberg_image(U: UnitaryChannel, betas) -> MatrixSubalgebra:
     U^dag(E_ij (x) 1)U = W_i^dag W_j, and since conjugation preserves the
     Hilbert-Schmidt inner product, sqrt(d_beta/D) W_i^dag W_j over the
     matrix units E_ij (row-major, beta legs in output order) is an
-    orthonormal basis.
+    orthonormal basis, formed in one batched product.
     """
     betas = _ordered_subset(U.out_space, betas, "output")
     if not betas:
         raise InputError("heisenberg_image needs at least one output leg")
     w = _rows_by_beta(U, betas)
     d_beta = w.shape[0]
-    basis = np.einsum("ira,jrb->ijab", w.conj(), w, optimize=True).reshape(
-        d_beta * d_beta, U.dim, U.dim) * np.sqrt(d_beta / U.dim)
+    w_dag = w.conj().transpose(0, 2, 1) * np.sqrt(d_beta / U.dim)
+    basis = (w_dag[:, None] @ w[None]).reshape(d_beta * d_beta, U.dim, U.dim)
     return MatrixSubalgebra(U.in_space, basis)
 
 

@@ -45,6 +45,7 @@ from test_cli import source_env
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+SHIFT3 = np.roll(np.eye(3), 1, axis=0).astype(complex)
 
 
 def space(*factors):
@@ -767,20 +768,21 @@ def test_reduction_is_double_commutant_of_schmidt_factors(case):
         .permutation_to(target)
     oracle = commutant(commutant_of([p @ y @ p.T for y in ys],
                                     target_space))
-    # before closing, the orthonormalised blocks of the seed elements
-    # lie in the span of the (reordered) Schmidt factors; the seed is a
-    # few generic elements, so that span may be larger
-    seeds = []
+    # the orthonormalised blocks of the seed elements (the first span
+    # reduce_onto_legs forms, closed or already all of M_{d_t}) lie in
+    # the span of the (reordered) Schmidt factors; the seed is a few
+    # generic elements, so that span may be larger
+    spans = []
 
-    def capture(ambient, mats):
-        seeds.append(np.asarray(mats))
-        return algebra_closure(ambient, mats)
-    with mock.patch("causaldeco.algebra.algebra_closure", capture):
+    def capture(mats, floor=0.0):
+        spans.append(orthonormalize(mats, floor))
+        return spans[-1]
+    with mock.patch("causaldeco.algebra.orthonormalize", capture):
         reduced = reduce_onto_legs(B, target)
     factors = MatrixSubalgebra(target_space,
                                orthonormalize([p @ y @ p.T for y in ys]))
-    assert len(seeds) == 1
-    assert MatrixSubalgebra(target_space, seeds[0]).spans_subspace_of(factors)
+    assert spans
+    assert MatrixSubalgebra(target_space, spans[0]).spans_subspace_of(factors)
     assert reduced.same_span(oracle)
     assert reduced.same_span(closure_of_all_blocks(B, target))
 
@@ -800,6 +802,111 @@ def test_row_space_matches_svd(shape):
         proj = dagger(vh[:r]) @ vh[:r]
         proj_ref = dagger(vh_ref[:r]) @ vh_ref[:r]
         assert np.abs(proj - proj_ref).max() <= 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(k=st.integers(1, 6), d=st.integers(1, 4), rank=st.integers(0, 6),
+       scale=st.floats(-12, 3), ratio=st.floats(0.3, 3.0),
+       floored=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_orthonormalize_rank_is_the_cut_on_svd_values(k, d, rank, scale,
+                                                      ratio, floored, seed):
+    # the rank is the cut rule on numpy's singular values, also when the
+    # floor sits near ||m||_F / sqrt(n), where orthonormalize may decide
+    # from the Frobenius norm alone
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((k, rank)) + 1j * rng.standard_normal((k, rank))
+    right = rng.standard_normal((rank, d * d)) \
+        + 1j * rng.standard_normal((rank, d * d))
+    m = 10.0 ** scale * (left @ right)
+    n = max(m.shape)
+    floor = ratio * np.linalg.norm(m) / np.sqrt(n) if floored else 0.0
+    s = np.linalg.svd(m, compute_uv=False)
+    cut = max(algebra_module.SVD_RANK_REL * s[0], floor) * np.sqrt(n)
+    want = 0 if s[0] == 0 else int(np.sum(s > cut))
+    assume(not np.any(np.abs(s - cut) <= 1e-9 * max(cut, s[0])))
+    got = orthonormalize(m.reshape(k, d, d), floor=floor)
+    assert got.shape == (want, d, d)
+
+
+def test_orthonormalize_under_the_floor_takes_no_svd(monkeypatch):
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    floor = np.linalg.norm(mats) / np.sqrt(9)
+    monkeypatch.setattr(algebra_module, "_row_space", None)
+    got = orthonormalize(mats, floor=floor)
+    assert got.shape == (0, 3, 3)
+    monkeypatch.undo()
+    # a NaN stack fails the bound and reaches the finite check
+    mats[2, 1, 1] = np.nan
+    with pytest.raises(NumericsError):
+        orthonormalize(mats, floor=floor)
+
+
+def test_spans_of_d_squared_are_the_matrix_units(monkeypatch):
+    # generators of M_d close to M_d in its matrix units, whether the
+    # seed already spans it or a product round completes it
+    amb = space(("q", 3))
+    full = MatrixSubalgebra.full(amb).basis
+    w = haar_unitary(3, np.random.default_rng(4))
+    for gens in ([w @ e @ dagger(w) for e in matrix_units(3)],
+                 [w @ np.diag([1.0, 2.0, 3.0]) @ dagger(w), w @ SHIFT3]):
+        assert np.array_equal(algebra_closure(amb, gens).basis, full)
+    # blocks that span M_{d_t} need no closure
+    amb2 = space(("a", 3), ("x", 2))
+    v = haar_unitary(6, np.random.default_rng(5))
+    B = algebra_closure(amb2, [v @ amb2.embed(e, ["a"]) @ dagger(v)
+                               for e in matrix_units(3)])
+    monkeypatch.setattr(algebra_module, "algebra_closure", None)
+    for target in (["a"], ["x"]):
+        red = reduce_onto_legs(B, target)
+        assert np.array_equal(
+            red.basis, MatrixSubalgebra.full(amb2.subspace(target)).basis)
+
+
+def test_one_sector_compression_stays_orthonormal(monkeypatch):
+    # the compression by a unitary q keeps the bases orthonormal with no
+    # rank solve
+    a_space = space(("a", 2), ("b", 3))
+    w = haar_unitary(6, np.random.default_rng(6))
+    reduced = [algebra_closure(a_space, [w @ a_space.embed(e, legs)
+                                         @ dagger(w)
+                                         for e in matrix_units(n)])
+               for legs, n in ((["a"], 2), (["b"], 3))]
+    split = algebra_module.split_commuting_factors
+    seen = []
+
+    def recording(comp, seed=0):
+        seen.extend(comp)
+        return split(comp, seed=seed)
+    monkeypatch.setattr(algebra_module, "split_commuting_factors", recording)
+    sec = _sectors_of_reductions(a_space, reduced, seed=0)
+    assert sec.n_sectors == 1 and len(seen) == 2
+    for alg in seen:
+        v = alg.basis.reshape(alg.dim, -1)
+        assert np.abs(v.conj() @ v.T - np.eye(alg.dim)).max() <= 1e-12
+
+
+def test_generic_elements_drawn_once_and_read_only(monkeypatch):
+    amb = space(("a", 2), ("x", 3))
+    S = MatrixSubalgebra.on_legs(amb, ["a", "x"])
+    fresh = algebra_module._generic_elements
+    draws = []
+
+    def recording(basis, count):
+        draws.append(count)
+        return fresh(basis, count)
+    monkeypatch.setattr(algebra_module, "_generic_elements", recording)
+    pair = S.test_elements()
+    assert S.test_elements() is not None and draws == [2]
+    five = S.generic_elements(5)
+    assert draws == [2, 5]
+    assert np.array_equal(pair, five[:2])
+    for n in (2, 4, 5):
+        assert np.array_equal(S.generic_elements(n), fresh(S.basis, n))
+    assert draws == [2, 5]
+    for cached in (pair, S.test_elements(), five):
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 1.0
 
 
 def test_non_finite_rank_input_raises():

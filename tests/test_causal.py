@@ -113,6 +113,25 @@ def test_u3_heisenberg_images_hand_oracle():
         assert np.allclose(img, expected, atol=1e-12), leg
 
 
+@pytest.mark.parametrize("betas", [["b1"], ["b2"], ["b1", "b2"]])
+def test_heisenberg_image_matrix_unit_layout(betas):
+    # is_factor reads the basis as matrix units: element i d_beta + j is
+    # sqrt(d_beta / D) U^dag (E_ij (x) 1) U, E_ij on the beta legs in
+    # output order
+    u = UnitaryChannel(haar_unitary(6, np.random.default_rng(7)),
+                       TensorSpace((("a1", 2), ("a2", 3))),
+                       TensorSpace((("b1", 3), ("b2", 2))))
+    img = heisenberg_image(u, betas)
+    d_beta = u.out_space.subspace(betas).total_dim
+    assert img.dim == d_beta ** 2
+    for i, j in itertools.product(range(d_beta), repeat=2):
+        e = np.zeros((d_beta, d_beta))
+        e[i, j] = 1.0
+        want = np.sqrt(d_beta / 6) * dagger(u.matrix) \
+            @ u.out_space.embed(e, betas) @ u.matrix
+        assert np.abs(img.basis[i * d_beta + j] - want).max() <= 1e-13
+
+
 def test_heisenberg_image_algebra():
     u = u3_channel()
     alg = heisenberg_image(u, ["b1"])

@@ -445,18 +445,42 @@ def test_obstruction_status_reported(monkeypatch):
     assert report.obstruction_node == 0
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("relation, base", [("chain2", 4), ("fan_in", 3)])
-def test_reference_runs_succeed(relation, base):
-    # the two slowest reference runs (D=64 and D=27), as
-    # `causaldeco roundtrip <relation>.json --dims <base> --trials 1` runs them
+def _reference_input(relation, base):
     from causaldeco import relations
     G = getattr(relations, f"{relation}_relation")()
     shape = build_concept_lattice(G)
     in_dims, out_dims, wire_dims = uniform_dims(shape, base)
     _, U = random_circuit_unitary(shape, seed=0, wire_dims=wire_dims,
                                   leg_dims={**in_dims, **out_dims})
+    return G, U
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("relation, base", [("chain2", 4), ("fan_in", 3)])
+def test_reference_runs_succeed(relation, base):
+    # the two slowest reference runs (D=64 and D=27), as
+    # `causaldeco roundtrip <relation>.json --dims <base> --trials 1` runs them
+    G, U = _reference_input(relation, base)
     circuit, report = decompose(U, G, seed=0)
     assert report.status == "Success"
     assert report.recomposition_residual <= RECOMPOSE_TOL * np.sqrt(U.dim)
     assert circuit.gates_unitary()
+
+
+@pytest.mark.slow
+def test_fan_in_top_node_takes_one_full_rank_solve(monkeypatch):
+    # at base 3 the top node's reductions are all of M_27: one rank solve
+    # on the 729 matrix-entry columns (the blocks), after which the
+    # closure seed and the sector compression read the span from integers
+    import causaldeco.algebra as algebra
+    row_space = algebra._row_space
+    columns = []
+
+    def recording(m):
+        columns.append(m.shape[1])
+        return row_space(m)
+    monkeypatch.setattr(algebra, "_row_space", recording)
+    G, U = _reference_input("fan_in", 3)
+    _, report = decompose(U, G, seed=0)
+    assert report.status == "Success"
+    assert columns.count(729) == 1

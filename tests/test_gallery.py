@@ -241,6 +241,35 @@ def test_obstruction_witness_reduces_from_generic_elements(
     assert rows and max(rows) <= 512, rows
 
 
+def test_obstruction_witness_draws_each_algebra_once(counterexample_c3,
+                                                     monkeypatch):
+    # the commutation, support and factor checks and the reductions read
+    # one cached sequence of generic elements per algebra, bit for bit
+    # the sequence a fresh draw gives
+    import causaldeco.algebra
+    algebra = causaldeco.algebra
+    fresh = algebra._generic_elements
+    test_elements = algebra.MatrixSubalgebra.test_elements
+    bases, pairs = [], []
+
+    def drawing(basis, count):
+        bases.append(basis)
+        return fresh(basis, count)
+
+    def reading(self):
+        pairs.append((self.basis, test_elements(self)))
+        return pairs[-1][1]
+    monkeypatch.setattr(algebra, "_generic_elements", drawing)
+    monkeypatch.setattr(algebra.MatrixSubalgebra, "test_elements", reading)
+    deco = obstruction_witness(counterexample_c3, C3)
+    assert deco.sectors == ((2, 2), (2, 2))
+    assert bases and len(pairs) > len(bases)
+    assert all(sum(b is basis for b in bases) == 1 for basis in bases)
+    for basis, pair in pairs:
+        assert np.array_equal(pair, fresh(basis, 2))
+        assert not pair.flags.writeable
+
+
 @pytest.fixture(scope="module")
 def spectator_pair():
     G4 = Relation(("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4"),

@@ -7,7 +7,10 @@ commutants, centres, Wedderburn factorization of factors, simultaneous
 splitting of commuting factors, reduction of an algebra onto one tensor
 leg, and the joint sector decomposition of several commuting algebras
 sharing a leg.  These are the numerical primitives the decomposer calls
-at every lattice node.
+at every lattice node.  Matrix arguments follow tensorspace's stack
+convention: coefficients, project and residual act on each matrix of a
+(..., D, D) stack, contains answers for all of them, and matrix_units(d)
+is one (d^2, d, d) stack, so a check over a basis is one call.
 
 Two solvers carry the rest: algebra_closure, which generates an algebra
 from matrices, and one null-space routine, which finds the elements of a
@@ -59,14 +62,16 @@ units.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .tensorspace import (TensorSpace, dagger, require_finite,
-                          unitarity_residual)
+from .tensorspace import (TensorSpace, _relative_norm, dagger,
+                          require_finite, unitarity_residual)
 
 SVD_RANK_REL = 1e-9
 COMM_REL_TOL = 1e-9
@@ -89,9 +94,9 @@ COMMUTANT_DIM_CAP = 32
 _GENERIC_SEED = 0
 
 
-def matrix_units(d: int) -> list[np.ndarray]:
-    """The d^2 standard matrix units E_ij in row-major (i, j) order."""
-    return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
+def matrix_units(d: int) -> np.ndarray:
+    """The d^2 standard matrix units E_ij, stacked in row-major order."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d)
 
 
 def _row_space(m) -> tuple[np.ndarray, np.ndarray]:
@@ -151,25 +156,24 @@ class MatrixSubalgebra:
         return self.basis.shape[0]
 
     def coefficients(self, mat) -> np.ndarray:
-        return (self.basis.reshape(self.dim, -1)
-                @ np.asarray(mat, complex).reshape(-1).conj()).conj()
+        mat = np.asarray(mat, complex)
+        flat = mat.reshape(mat.shape[:-2] + (-1,))
+        return (flat.conj() @ self.basis.reshape(self.dim, -1).T).conj()
 
     def project(self, mat) -> np.ndarray:
-        coeff = self.coefficients(mat)
-        return np.tensordot(coeff, self.basis, axes=(0, 0))
+        mat = np.asarray(mat, complex)
+        return (self.coefficients(mat)
+                @ self.basis.reshape(self.dim, -1)).reshape(mat.shape)
 
-    def residual(self, mat) -> float:
+    def residual(self, mat):
         mat = np.asarray(mat, dtype=complex)
-        norm = np.linalg.norm(mat)
-        if norm == 0.0:
-            return 0.0
-        return float(np.linalg.norm(mat - self.project(mat)) / norm)
+        return _relative_norm(mat - self.project(mat), mat)
 
     def contains(self, mat, rel_tol=RESIDUAL_TOL) -> bool:
-        return self.residual(mat) <= rel_tol
+        return bool(np.all(self.residual(mat) <= rel_tol))
 
     def spans_subspace_of(self, other: "MatrixSubalgebra") -> bool:
-        return all(other.contains(b) for b in self.basis)
+        return other.contains(self.basis)
 
     def same_span(self, other: "MatrixSubalgebra") -> bool:
         return self.dim == other.dim and self.spans_subspace_of(other)
@@ -189,7 +193,7 @@ class MatrixSubalgebra:
 
     @classmethod
     def full(cls, ambient: TensorSpace) -> "MatrixSubalgebra":
-        return cls(ambient, np.stack(matrix_units(ambient.total_dim)))
+        return cls(ambient, matrix_units(ambient.total_dim))
 
     @classmethod
     def scalars(cls, ambient: TensorSpace) -> "MatrixSubalgebra":
@@ -200,8 +204,8 @@ class MatrixSubalgebra:
     def on_legs(cls, ambient: TensorSpace, labels) -> "MatrixSubalgebra":
         """Full algebra of the named legs tensored with identity."""
         sub = ambient.subspace(labels)
-        gens = [ambient.embed(e, labels) for e in matrix_units(sub.total_dim)]
-        return cls(ambient, orthonormalize(np.stack(gens)))
+        return cls(ambient, orthonormalize(
+            ambient.embed(matrix_units(sub.total_dim), labels)))
 
 
 def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
@@ -251,7 +255,7 @@ def _commuting_part(basis, test) -> np.ndarray:
     s, vh = _row_space(comm.transpose(0, 2, 1).reshape(-1, k))
     # the floor at the test elements' scale keeps rounding-noise
     # commutators (a conjugated scalar algebra) from counting as rank
-    floor = SVD_RANK_REL * max(np.linalg.norm(g) for g in test)
+    floor = SVD_RANK_REL * np.linalg.norm(test, axis=(1, 2)).max()
     cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(t * d * d, k))
     rank = int(np.sum(~(s <= cut)))
     return np.tensordot(vh[rank:].conj(), basis, axes=(1, 0))
@@ -264,14 +268,13 @@ def commutant_of(mats, ambient: TensorSpace) -> MatrixSubalgebra:
         raise InputError(
             f"commutant solve needs ambient dim <= {COMMUTANT_DIM_CAP}, "
             f"got {d}")
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    mats = [m for m in mats if np.linalg.norm(m) > 0]
-    mats = [m / np.linalg.norm(m) for m in mats]
-    test = mats + [dagger(m) for m in mats]
-    if not test:
+    mats = np.asarray(mats, dtype=complex).reshape(-1, d, d)
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    mats = mats[norms > 0] / norms[norms > 0, None, None]
+    if not len(mats):
         return MatrixSubalgebra.full(ambient)
-    units = np.stack(matrix_units(d))
-    return MatrixSubalgebra(ambient, _commuting_part(units, test))
+    return MatrixSubalgebra(ambient, _commuting_part(
+        matrix_units(d), np.concatenate([mats, dagger(mats)])))
 
 
 def commutant(S: MatrixSubalgebra) -> MatrixSubalgebra:
@@ -353,8 +356,8 @@ def _spectral_projectors(S: MatrixSubalgebra, rng, count):
         clusters = _cluster_sorted(vals)
         if len(clusters) != count:
             continue
-        projs = [vecs[:, c] @ dagger(vecs[:, c]) for c in clusters]
-        if all(S.contains(p, GENERIC_RESIDUAL_TOL) for p in projs):
+        projs = np.stack([vecs[:, c] @ dagger(vecs[:, c]) for c in clusters])
+        if S.contains(projs, GENERIC_RESIDUAL_TOL):
             return projs
     return None
 
@@ -444,49 +447,34 @@ def factorize_factor(B: MatrixSubalgebra, seed=0):
             "could not split a generic spectral decomposition into "
             f"{d} clusters of multiplicity {m}")
 
-    isometries = None
     for _ in range(4):
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         s = np.tensordot(c, B.basis, axes=(0, 0))
-        cand = [projs[0]]
-        ok = True
-        for i in range(1, d):
-            q = projs[i] @ s @ projs[0]
-            require_finite(q, "a connecting partial isometry")
-            uu, sv, vv = np.linalg.svd(q)
-            if sv.size < m or not sv[m - 1] > ISOMETRY_RANK_REL * sv[0]:
-                ok = False
-                break
-            cand.append(uu[:, :m] @ vv[:m, :])
-        if ok:
-            isometries = cand
+        q = np.stack(projs[1:]) @ s @ projs[0]
+        require_finite(q, "a connecting partial isometry")
+        uu, sv, vv = np.linalg.svd(q)
+        if np.all(sv[:, m - 1] > ISOMETRY_RANK_REL * sv[:, 0]):
             break
-    if isometries is None:
+    else:
         raise NumericsError("connecting partial isometries degenerate "
                             "after 3 redraws")
+    isometries = np.concatenate([projs[:1], uu[:, :, :m] @ vv[:, :m, :]])
 
-    pvals, pvecs = np.linalg.eigh(projs[0])
-    f = pvecs[:, -m:]
-    rows = []
-    for i in range(d):
-        block = isometries[i] @ f
-        for mu in range(m):
-            rows.append(dagger(block[:, mu]))
-    v = np.stack(rows)
-    v = _projected_unitary(v)
+    f = np.linalg.eigh(projs[0])[1][:, -m:]
+    # row i m + mu of V is (u_i f_mu)^dag
+    v = _projected_unitary(dagger(isometries @ f).reshape(D, D))
     iso = UnitaryIso(v, ambient, codomain)
 
     # Verify both directions of the claimed form.
-    for b in B.basis:
-        _, resid = codomain.restrict(iso.conj(b), ["f"])
-        if not resid <= RESIDUAL_TOL:
-            raise NumericsError(
-                f"factorization verification failed (residual {resid:.2e})")
-    for e in matrix_units(d):
-        back = iso.inv_conj(codomain.embed(e, ["f"]))
-        if not B.residual(back) <= RESIDUAL_TOL:
-            raise NumericsError("factorization verification failed on the "
-                                "reverse direction")
+    _, resid = codomain.restrict(iso.conj(B.basis), ["f"])
+    worst = np.max(resid)
+    if not worst <= RESIDUAL_TOL:
+        raise NumericsError(
+            f"factorization verification failed (residual {worst:.2e})")
+    back = iso.inv_conj(codomain.embed(matrix_units(d), ["f"]))
+    if not np.max(B.residual(back)) <= RESIDUAL_TOL:
+        raise NumericsError("factorization verification failed on the "
+                            "reverse direction")
     return iso, d, m
 
 
@@ -496,19 +484,12 @@ def _check_pairwise_commuting(tests):
     # every algebra draws from the same seed, so x_k and y_k may share
     # coefficients; the cross pairs (x_1, y_2) and (x_2, y_1) are
     # independent draws, which is what the bilinear argument needs
-    for i in range(len(tests)):
-        for j in range(i + 1, len(tests)):
-            for x in tests[i]:
-                nx = np.linalg.norm(x)
-                for y in tests[j]:
-                    ny = np.linalg.norm(y)
-                    if nx == 0 or ny == 0:
-                        continue
-                    c = np.linalg.norm(x @ y - y @ x) / (nx * ny)
-                    if not c <= COMM_REL_TOL:
-                        raise NumericsError(
-                            f"algebras {i} and {j} do not commute "
-                            f"(relative commutator {c:.2e})")
+    for (i, x), (j, y) in itertools.combinations(enumerate(tests), 2):
+        x, y = x[:, None], y[None]
+        c = np.max(_relative_norm(x @ y - y @ x, x, y))
+        if not c <= COMM_REL_TOL:
+            raise NumericsError(f"algebras {i} and {j} do not commute "
+                                f"(relative commutator {c:.2e})")
 
 
 def split_commuting_factors(bs, ambient: TensorSpace | None = None, seed=0):
@@ -550,17 +531,14 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None, seed=0):
         dims.append(d)
         pair = TensorSpace((("f", d), ("c", mult)))
         for j in range(k + 1, n):
-            reduced = []
-            for mat in cur[j].basis:
-                moved = iso.conj(mat)
-                small, resid = pair.restrict(moved, ["c"])
-                if not resid <= RESIDUAL_TOL:
-                    raise NumericsError(
-                        f"algebra {j} leaks onto the split leg "
-                        f"(residual {resid:.2e})")
-                reduced.append(small)
+            small, resid = pair.restrict(iso.conj(cur[j].basis), ["c"])
+            worst = np.max(resid, initial=0.0)
+            if not worst <= RESIDUAL_TOL:
+                raise NumericsError(
+                    f"algebra {j} leaks onto the split leg "
+                    f"(residual {worst:.2e})")
             cur[j] = MatrixSubalgebra(TensorSpace((("t", mult),)),
-                                      orthonormalize(np.stack(reduced)))
+                                      orthonormalize(small))
         prefix *= d
         cur_dim = mult
     dims.append(cur_dim)
@@ -686,13 +664,12 @@ def _shared_leg_reductions(a_labels, x_legs, bs):
     pairs = [b.test_elements() for b in bs]
     _check_pairwise_commuting(pairs)
     for k, pair in enumerate(pairs):
-        allowed = a_labels + list(x_legs[k])
-        for mat in pair:
-            _, resid = ambient.restrict(mat, allowed)
-            if not resid <= GENERIC_RESIDUAL_TOL:
-                raise NumericsError(
-                    f"algebra {k} is not supported on its shared+X legs "
-                    f"(residual {resid:.2e})")
+        _, resid = ambient.restrict(pair, a_labels + list(x_legs[k]))
+        worst = np.max(resid)
+        if not worst <= GENERIC_RESIDUAL_TOL:
+            raise NumericsError(
+                f"algebra {k} is not supported on its shared+X legs "
+                f"(residual {worst:.2e})")
     return (ambient.subspace(a_labels),
             [reduce_onto_legs(b, a_labels) for b in bs])
 
@@ -719,61 +696,55 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
     per_alg = [minimal_central_projectors(r, seed=int(rng.integers(0, 2**31)))
                for r in reduced]
 
-    index_tuples = [()]
-    for projs in per_alg:
-        index_tuples = [t + (i,) for t in index_tuples
-                        for i in range(len(projs))]
-    clean = []
-    for tup in sorted(index_tuples):
-        p = np.eye(d_a, dtype=complex)
-        for k, i in enumerate(tup):
-            p = p @ per_alg[k][i]
+    projectors = []
+    isometries = []
+    for combo in itertools.product(*per_alg):
+        p = functools.reduce(np.matmul, combo, np.eye(d_a, dtype=complex))
         p = (p + dagger(p)) / 2.0
         if np.linalg.norm(p) <= RESIDUAL_TOL * np.sqrt(d_a):
             continue
         # eigh raises LinAlgError on some NaN inputs and returns on others
         require_finite(p, "a joint central product")
         vals, vecs = np.linalg.eigh(p)
-        keep = vals > 0.5
-        r = int(np.sum(keep))
-        if r == 0:
+        q = vecs[:, vals > 0.5]
+        if q.shape[1] == 0:
             continue
-        q = vecs[:, keep]
         p_clean = q @ dagger(q)
         if not (np.linalg.norm(p_clean - p)
                 <= PROJECTOR_CLEANUP_TOL * np.sqrt(d_a)):
             raise NumericsError("joint central product is far from a "
                                 "projector")
-        clean.append((tup, p_clean, q))
+        projectors.append(p_clean)
+        isometries.append(q)
 
-    total = sum(p for _, p, _ in clean)
+    total = sum(projectors)
     if not np.linalg.norm(total - np.eye(d_a)) <= RESIDUAL_TOL * np.sqrt(d_a):
         raise NumericsError("sector projectors do not resolve the identity")
-    for x in range(len(clean)):
-        for y in range(x + 1, len(clean)):
-            if not (np.linalg.norm(clean[x][1] @ clean[y][1])
-                    <= RESIDUAL_TOL * d_a):
-                raise NumericsError("sector projectors are not orthogonal")
+    # ||p_x p_y|| = ||q_x^dag q_y|| for isometries q, so the pairs are
+    # the off-diagonal blocks of one Gram matrix
+    qs = np.concatenate(isometries, axis=1)
+    cuts = np.cumsum([0] + [q.shape[1] for q in isometries[:-1]])
+    sq = np.abs(dagger(qs) @ qs) ** 2
+    pair = np.add.reduceat(np.add.reduceat(sq, cuts, axis=0), cuts, axis=1)
+    np.fill_diagonal(pair, 0.0)
+    if not np.sqrt(np.max(pair)) <= RESIDUAL_TOL * d_a:
+        raise NumericsError("sector projectors are not orthogonal")
 
     rows = []
     sector_dims = []
-    projectors = []
-    for tup, p, q in clean:
-        r = q.shape[1]
-        sec_space = TensorSpace((("s", r),))
+    for q in isometries:
+        sec_space = TensorSpace((("s", q.shape[1]),))
         comp = []
         for alg in reduced:
             cb = dagger(q) @ alg.basis @ q
-            if r < d_a:  # a unitary q keeps the basis orthonormal
+            if q.shape[1] < d_a:  # a unitary q keeps the basis orthonormal
                 cb = orthonormalize(cb)
             comp.append(MatrixSubalgebra(sec_space, cb))
         iso_i, dims_i = split_commuting_factors(
             comp, seed=int(rng.integers(0, 2**31)))
         rows.append(iso_i.matrix @ dagger(q))
         sector_dims.append(tuple(dims_i))
-        projectors.append(p)
-    v = np.concatenate(rows, axis=0)
-    v = _projected_unitary(v)
+    v = _projected_unitary(np.concatenate(rows))
     iso = UnitaryIso(v, a_space, TensorSpace((("sectors", d_a),)))
     return SectorDecomposition(a_space, tuple(sector_dims),
                                tuple(projectors), iso)

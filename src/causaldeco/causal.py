@@ -125,8 +125,8 @@ def _space_from_json(items, side) -> TensorSpace:
 
 def matrix_to_cells(mat) -> list:
     """Complex matrix as nested lists of [re, im] pairs."""
-    return [[[float(np.real(x)), float(np.imag(x))] for x in row]
-            for row in np.asarray(mat)]
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def _numbers_only(types) -> bool:

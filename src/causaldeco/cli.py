@@ -347,7 +347,7 @@ def cmd_gallery(args) -> int:
             fh.write(text)
         print(f"written to {args.out}")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     return 0
 
 

@@ -124,13 +124,12 @@ def _verify(U, circuit, G, tol, structure) -> DecompositionReport:
         faithful=faithful)
 
 
-def _inclusion_residuals(img, frame, gin, iso, leg) -> list[float]:
+def _inclusion_residuals(img, frame, gin, iso, leg) -> np.ndarray:
     """Relative distance from img of each matrix unit on gate output
     ``leg``, taken back through the gate onto the node's input legs."""
-    d = iso.codomain.dim(leg)
-    return [img.residual(frame.embed(
-        iso.inv_conj(iso.codomain.embed(e, [leg])), gin))
-        for e in matrix_units(d)]
+    units = matrix_units(iso.codomain.dim(leg))
+    return img.residual(frame.embed(
+        iso.inv_conj(iso.codomain.embed(units, [leg])), gin))
 
 
 def _output_rotation(img, frame, gin, iso, leg):
@@ -142,10 +141,10 @@ def _output_rotation(img, frame, gin, iso, leg):
     times one common factor, and the polar part of those columns is w.
     """
     d = iso.codomain.dim(leg)
-    parts = [iso.codomain.partial_trace(
-        iso.conj(frame.partial_trace(e, gin)), [leg]) for e in img.basis[::d]]
+    parts = iso.codomain.partial_trace(
+        iso.conj(frame.partial_trace(img.basis[::d], gin)), [leg])
     c = int(np.argmax(np.abs(np.diagonal(parts[0]))))
-    return _projected_unitary(np.stack([p[:, c] for p in parts], axis=1))
+    return _projected_unitary(parts[:, :, c].T)
 
 
 def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
@@ -238,11 +237,10 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
         # wires must lie inside the images they were cut from
         iso = got.iso
         legs = iso.codomain.labels
-        resids = [0.0]
-        for k in range(n_covers):
-            resids += _inclusion_residuals(bs[k], frame, gin, iso, legs[k])
+        resids = [_inclusion_residuals(bs[k], frame, gin, iso, legs[k])
+                  for k in range(n_covers)]
         # np.max keeps a NaN, which the builtin max can drop
-        worst = float(np.max(resids))
+        worst = float(np.max(np.concatenate([[0.0], *resids])))
         if not worst <= INCLUSION_TOL:
             raise NumericsError(
                 f"wire algebra at node {v} leaks outside its image "

@@ -8,11 +8,16 @@ error-prone manual index arithmetic.
 
 Conventions: vectors use the lexicographic product basis of the factor
 list (row-major, numpy reshape order).  ``vec`` of a matrix means
-row-major flattening.
+row-major flattening.  An operator argument may be one D x D matrix or
+a stack of shape (..., D, D); ``embed``, ``partial_trace`` and
+``restrict`` act on each matrix of a stack, with the leg axes last.
+``reorder`` is the exception: it re-indexes an array's leading axis,
+with any trailing axes riding along.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,14 @@ def require_finite(mat, what: str) -> None:
     can hang on a non-finite entry, so every SVD input passes here."""
     if not np.isfinite(mat).all():
         raise NumericsError(f"non-finite entries in {what}")
+
+
+def _relative_norm(diff, *refs):
+    """||diff||_F over the product of the refs' Frobenius norms, per
+    matrix of a stack: a zero ref reads 0, and a NaN stays NaN."""
+    num = np.linalg.norm(diff, axis=(-2, -1))
+    den = math.prod(np.linalg.norm(r, axis=(-2, -1)) for r in refs)
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)[()]
 
 
 def as_dim(value, what: str) -> int:
@@ -121,25 +134,26 @@ class TensorSpace:
     # -- embeddings and reductions ---------------------------------------
 
     def _transposed(self, mat, src, dst) -> np.ndarray:
-        """A D x D matrix with legs in order ``src``, rewritten with legs
-        in order ``dst`` (both orderings of all labels) by one reshape
-        and one transpose."""
-        axes = [tuple(src).index(l) for l in dst]
-        moved = mat.reshape([self.dim(l) for l in src] * 2).transpose(
-            axes + [a + len(axes) for a in axes])
-        return moved.reshape(self.total_dim, self.total_dim)
+        """A stack of D x D matrices with legs in order ``src``,
+        rewritten with legs in order ``dst`` (both orderings of all
+        labels) by one reshape and one transpose."""
+        axes = [1 + tuple(src).index(l) for l in dst]
+        moved = mat.reshape((-1,) + tuple(self.dim(l) for l in src) * 2)
+        return moved.transpose([0] + axes + [a + len(axes) for a in axes]
+                               ).reshape(mat.shape)
 
     def embed(self, op, labels) -> np.ndarray:
         """Extend an operator on the named legs (in that order) by identity."""
         op = _as_complex(op)
         sub = self.subspace(labels)
-        if op.shape != (sub.total_dim, sub.total_dim):
+        if op.shape[-2:] != (sub.total_dim, sub.total_dim):
             raise InputError(
                 f"operator shape {op.shape} does not match legs {labels} "
                 f"of dimension {sub.total_dim}")
         dr = self.total_dim // sub.total_dim
-        big = np.zeros((sub.total_dim, dr) * 2, dtype=complex)
-        big[:, np.arange(dr), :, np.arange(dr)] = op
+        big = np.zeros(op.shape[:-2] + (self.total_dim,) * 2, dtype=complex)
+        big.reshape(op.shape[:-2] + (sub.total_dim, dr) * 2)[
+            ..., :, np.arange(dr), :, np.arange(dr)] = op
         order = tuple(labels) + self.complement(labels)
         return self._transposed(big, order, self.labels)
 
@@ -149,25 +163,21 @@ class TensorSpace:
         dk = self.subspace(keep_labels).total_dim
         order = tuple(keep_labels) + self.complement(keep_labels)
         dr = self.total_dim // dk
-        m4 = self._transposed(mat, self.labels, order).reshape(dk, dr, dk, dr)
-        return np.einsum("irjr->ij", m4)
+        m4 = self._transposed(mat, self.labels, order).reshape(
+            mat.shape[:-2] + (dk, dr, dk, dr))
+        return np.einsum("...irjr->...ij", m4)
 
     def restrict(self, mat, labels):
         """Write ``mat`` as (small op on ``labels``) tensor identity.
 
         Returns (small, residual) where residual is the relative Frobenius
-        distance between ``mat`` and the factored form; callers decide
-        what residual counts as supported.
+        distance between ``mat`` and the factored form, one per matrix of
+        a stack; callers decide what residual counts as supported.
         """
         mat = _as_complex(mat)
         dr = self.total_dim // self.subspace(labels).total_dim
         small = self.partial_trace(mat, labels) / dr
-        rebuilt = self.embed(small, labels)
-        norm = np.linalg.norm(mat)
-        if norm == 0.0:
-            return small, 0.0
-        residual = np.linalg.norm(mat - rebuilt) / norm
-        return small, residual
+        return small, _relative_norm(mat - self.embed(small, labels), mat)
 
     # -- operator Schmidt ------------------------------------------------
 
@@ -214,7 +224,7 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 
 def dagger(mat) -> np.ndarray:
-    return np.asarray(mat).conj().T
+    return np.asarray(mat).conj().swapaxes(-1, -2)
 
 
 def unitarity_residual(m) -> float:

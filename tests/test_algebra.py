@@ -1038,6 +1038,60 @@ def test_nan_refused_by_commuting_and_leak_checks(monkeypatch):
         split_commuting_factors(bs)
 
 
+@pytest.mark.parametrize("bad", ["nan", "leak"])
+def test_one_bad_generic_element_refused_by_the_lemma(monkeypatch, bad):
+    # the support and commutation checks each read a stacked pair and
+    # gate on its worst residual: a NaN, or an X-leg term that neither
+    # stays on the algebra's legs nor commutes with the other algebra,
+    # in one element of one pair refuses
+    amb = TensorSpace((("a1", 2), ("a2", 2), ("x1", 2), ("x2", 2)))
+    bs = [MatrixSubalgebra.on_legs(amb, legs)
+          for legs in (["a1", "x1"], ["a2", "x2"])]
+    x_legs = [["x1"], ["x2"]]
+    assert isinstance(algebraic_lemma(["a1", "a2"], x_legs, bs), LemmaSplit)
+    pairs = {id(b): np.array(b.test_elements()) for b in bs}
+    monkeypatch.setattr(MatrixSubalgebra, "test_elements",
+                        lambda self: pairs[id(self)])
+    pair = pairs[id(bs[0])]
+    pair[1] = (_with_nan(pair[1]) if bad == "nan"
+               else pair[1] + amb.embed(SX, ["x2"]))
+    with pytest.raises(NumericsError, match="not supported"):
+        algebraic_lemma(["a1", "a2"], x_legs[:1], bs[:1])
+    with pytest.raises(NumericsError, match="do not commute"):
+        algebraic_lemma(["a1", "a2"], x_legs, bs)
+
+
+@pytest.mark.parametrize("side", ["conj", "inv_conj"])
+def test_one_leaking_matrix_refused_by_factorization_verification(
+        monkeypatch, side):
+    # each direction gates on the worst matrix of its stack: a term on
+    # the multiplicity leg in the last matrix alone refuses
+    pair = TensorSpace((("f", 2), ("c", 2)))
+    factor = MatrixSubalgebra.on_legs(pair, ["f"])
+    orig = getattr(UnitaryIso, side)
+
+    def leaking(self, mat):
+        out = orig(self, mat)
+        out[-1] += pair.embed(SX, ["c"])
+        return out
+    monkeypatch.setattr(UnitaryIso, side, leaking)
+    with pytest.raises(NumericsError, match="verification failed"):
+        factorize_factor(factor)
+
+
+def test_one_leaking_basis_element_refused_by_the_split():
+    # the leak check reads the whole basis of each later algebra; one
+    # element on the first split leg refuses
+    amb = TensorSpace((("x", 2), ("y", 2)))
+    leaky = MatrixSubalgebra.on_legs(amb, ["y"]).basis.copy()
+    leaky[-1] = amb.embed(SX, ["x"]) / np.sqrt(2)
+    bs = [MatrixSubalgebra.on_legs(amb, ["x"]), MatrixSubalgebra(amb, leaky)]
+    with mock.patch.object(algebra_module, "_check_pairwise_commuting",
+                           lambda tests: None):
+        with pytest.raises(NumericsError, match="leaks onto the split leg"):
+            split_commuting_factors(bs)
+
+
 def test_nan_refused_by_sector_checks(monkeypatch):
     # a NaN in one minimal central projector is refused before the
     # joint product reaches eigh, not as a ValueError from rounding its

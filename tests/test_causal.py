@@ -24,6 +24,7 @@ from causaldeco.causal import (
     heisenberg_image,
     influences,
     load_unitary,
+    matrix_to_cells,
     no_influence_choi_oracle,
     pair_commutator_norm,
     unitary_from_json,
@@ -624,6 +625,21 @@ def test_unitary_json_roundtrip(tmp_path):
     doc["matrix"] = doc["matrix"][:3]
     with pytest.raises(InputError):
         unitary_from_json(json_mod.dumps(doc))
+
+
+def test_matrix_cells_are_floats_for_any_input_dtype():
+    # integer and real matrices write 1.0, not 1; signed zeros survive
+    import json
+    assert json.dumps(matrix_to_cells(np.eye(2, dtype=int))) == \
+        "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]"
+    assert json.dumps(matrix_to_cells(np.array([[-0.0, 2.5]]))) == \
+        "[[[-0.0, 0.0], [2.5, 0.0]]]"
+    signed = np.array([[complex(1, -0.0), complex(-0.0, -2)]])
+    assert json.dumps(matrix_to_cells(signed)) == \
+        "[[[1.0, -0.0], [-0.0, -2.0]]]"
+    cells = matrix_to_cells(np.arange(6).reshape(2, 3))
+    assert all(type(x) is float for row in cells for cell in row
+               for x in cell)
 
 
 def test_borderline_warning():

@@ -13,8 +13,8 @@ from causaldeco.decompose import INCLUSION_TOL, RECOMPOSE_TOL, \
 from causaldeco.errors import InputError, NumericsError
 from causaldeco.gallery import build_counterexample, obstruction_witness, u3
 from causaldeco.lattice import build_concept_lattice
-from causaldeco.relations import Relation, c3_relation, fan_out_relation, \
-    full_relation
+from causaldeco.relations import Relation, c3_relation, fan_in_relation, \
+    fan_out_relation, full_relation
 from causaldeco.tensorspace import TensorSpace
 
 from test_causal import relation_circuits
@@ -271,25 +271,39 @@ def test_roundtrip_on_random_shapes_and_dims(case):
 def test_each_lemma_hypothesis_tested_once(monkeypatch):
     # the gate split is one path: one factor test per lemma input, and
     # the only closures are the reductions onto the local legs (no joint
-    # closure of the reductions); each gate is finished at its node, so
-    # the only images are the lemma's inputs and the circuit is composed
-    # once, by the final verification.  Every lemma input is an image in
-    # matrix-unit layout, so no factor test falls back to a centre solve,
-    # in decompose or in obstruction_witness.
+    # closure of the reductions): each reduction either closes its
+    # blocks once or finds they span M_{d_t} and returns
+    # MatrixSubalgebra.full with no closure.  Each gate is finished at
+    # its node, so the only images are the lemma's inputs and the circuit
+    # is composed once, by the final verification.  Every lemma input is
+    # an image in matrix-unit layout, so no factor test falls back to a
+    # centre solve, in decompose or in obstruction_witness.
     import sys
     import causaldeco.algebra as algebra
     module = sys.modules["causaldeco.decompose"]
     calls = {"inputs": 0, "is_factor": 0, "algebra_closure": 0,
-             "reduce_onto_legs": 0, "heisenberg_image": 0,
-             "compose_matrix": 0, "factor_centre": 0}
+             "reduce_onto_legs": 0, "full_reductions": 0,
+             "heisenberg_image": 0, "compose_matrix": 0, "factor_centre": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
             calls[key] += 1
             return fn(*args, **kwargs)
         return wrapper
-    for key in ("algebra_closure", "reduce_onto_legs"):
-        monkeypatch.setattr(algebra, key, counting(key, getattr(algebra, key)))
+    monkeypatch.setattr(algebra, "algebra_closure", counting(
+        "algebra_closure", algebra.algebra_closure))
+    reduce = algebra.reduce_onto_legs
+
+    def counting_reduce(B, target_labels):
+        calls["reduce_onto_legs"] += 1
+        closures = calls["algebra_closure"]
+        out = reduce(B, target_labels)
+        units = algebra.matrix_units(out.ambient.total_dim)
+        if calls["algebra_closure"] == closures and np.array_equal(
+                out.basis, units):
+            calls["full_reductions"] += 1
+        return out
+    monkeypatch.setattr(algebra, "reduce_onto_legs", counting_reduce)
     for key in ("heisenberg_image", "compose_matrix"):
         monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
     factor_test, centre = algebra.is_factor, algebra.centre
@@ -315,6 +329,10 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
     runs.append((chain2, random_circuit_unitary(
         chain2, wire_dims=wire_dims, leg_dims={**in_dims, **out_dims},
         seed=0)[1], 0))
+    # fan_in at its default dims makes one reduction, which spans M_{d_t}
+    fan_in = fan_in_relation()
+    runs.append((fan_in, random_circuit_unitary(fan_in, seed=0)[1], 0))
+    full_reductions = 0
     for rel, ch, seed in runs:
         for key in calls:
             calls[key] = 0
@@ -322,10 +340,13 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
         assert report.status == "Success"
         assert calls["inputs"] > 0
         assert calls["is_factor"] == calls["inputs"]
-        assert calls["algebra_closure"] == calls["reduce_onto_legs"] > 0
+        assert (calls["algebra_closure"] + calls["full_reductions"]
+                == calls["reduce_onto_legs"] > 0)
+        full_reductions += calls["full_reductions"]
         assert calls["heisenberg_image"] == calls["inputs"]
         assert calls["compose_matrix"] == 1
         assert calls["factor_centre"] == 0
+    assert full_reductions > 0
     C3 = c3_relation()
     calls["is_factor"] = 0
     obstruction_witness(build_counterexample(C3, seed=0), C3)
@@ -388,7 +409,7 @@ def test_nan_inclusion_residual_refuses(monkeypatch):
     module = sys.modules["causaldeco.decompose"]
     residuals = module._inclusion_residuals
     monkeypatch.setattr(module, "_inclusion_residuals",
-                        lambda *args: residuals(*args) + [float("nan")])
+                        lambda *args: np.append(residuals(*args), np.nan))
     G = chain2_relation()
     _, ch = random_circuit_unitary(G, seed=3)
     with pytest.raises(NumericsError, match="leaks outside its image"):

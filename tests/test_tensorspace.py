@@ -1,6 +1,7 @@
 """Leg moves: one reshape-and-transpose primitive, checked against index
 arithmetic and against the permutation-matrix formulas it replaced, and
-kept off every pipeline."""
+kept off every pipeline.  Leg and span operations take stacks of
+matrices and equal the loop over the stack."""
 
 import ast
 import math
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from causaldeco import cli
+from causaldeco.algebra import MatrixSubalgebra, orthonormalize
 from causaldeco.causal import UnitaryChannel, unitary_to_json
 from causaldeco.circuits import advance_frame, random_circuit_unitary
 from causaldeco.decompose import decompose
@@ -158,4 +160,68 @@ def test_legs_move_only_by_reshape_and_transpose():
                     _is_call_to(sub, "eye") or _is_call_to(sub, "identity")
                     for arg in node.args for sub in ast.walk(arg)):
                 offenders.append((path.name, node.lineno, "kron"))
+    assert offenders == []
+
+
+def _assert_loop_equal(stacked, loop):
+    loop = np.asarray(loop)
+    assert stacked.shape == loop.shape
+    scale = 1.0 + np.max(np.abs(loop), initial=0.0)
+    assert np.max(np.abs(stacked - loop), initial=0.0) <= 1e-14 * scale
+
+
+@PROPERTY
+@given(space=spaces(max_legs=3), data=st.data())
+def test_stacked_calls_equal_the_per_matrix_loop(space, data):
+    # an operator argument may be a stack (n, D, D): each operation acts
+    # on every matrix, a zero matrix reads residual 0, and a NaN stays in
+    # its own slot
+    labels = data.draw(st.permutations(space.labels))
+    labels = labels[:data.draw(st.integers(0, len(labels)))]
+    n = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    D, dk = space.total_dim, space.subspace(labels).total_dim
+    k = data.draw(st.integers(1, D * D))
+    span = MatrixSubalgebra(space, orthonormalize(random_complex(
+        rng, (k, D, D))))
+    stack = random_complex(rng, (n, D, D))
+    if data.draw(st.booleans()):
+        stack[data.draw(st.integers(0, n - 1))] = 0.0
+    small = random_complex(rng, (n, dk, dk))
+    _assert_loop_equal(space.embed(small, labels),
+                       [space.embed(m, labels) for m in small])
+    _assert_loop_equal(space.partial_trace(stack, labels),
+                       [space.partial_trace(m, labels) for m in stack])
+    reduced, resid = space.restrict(stack, labels)
+    _assert_loop_equal(reduced, [space.restrict(m, labels)[0] for m in stack])
+    _assert_loop_equal(resid, [space.restrict(m, labels)[1] for m in stack])
+    for op in (span.coefficients, span.project, span.residual):
+        _assert_loop_equal(op(stack), [op(m) for m in stack])
+    # the span holds k of the D^2 directions, so a random matrix is
+    # inside it exactly when k = D^2
+    members = span.project(stack)
+    assert span.contains(members) == all(span.contains(m) for m in members)
+    assert span.contains(stack) == all(span.contains(m) for m in stack)
+    zero = ~np.any(stack, axis=(1, 2))
+    assert np.all(resid[zero] == 0.0)
+    assert np.all(span.residual(stack)[zero] == 0.0)
+    bad = data.draw(st.integers(0, n - 1))
+    stack[bad, 0, 0] = np.nan
+    for got in (space.restrict(stack, labels)[1], span.residual(stack)):
+        assert np.isnan(got).tolist() == [i == bad for i in range(n)]
+    assert not span.contains(stack)
+
+
+def test_bases_and_matrix_units_are_not_looped_over():
+    # span and leg operations take stacks, so a check over a basis or
+    # over matrix units is one call, not a Python loop
+    offenders = []
+    for name in ("algebra.py", "decompose.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if not isinstance(node, (ast.For, ast.comprehension)):
+                continue
+            for sub in ast.walk(node.iter):
+                if _is_call_to(sub, "matrix_units") or getattr(
+                        sub, "attr", None) == "basis":
+                    offenders.append((name, sub.lineno))
     assert offenders == []

@@ -70,27 +70,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericsError
+from .policy import (CLUSTER_REL, COMM_REL_TOL, COMMUTANT_DIM_CAP,
+                     GENERIC_RESIDUAL_TOL, ISO_UNITARITY_TOL,
+                     ISOMETRY_RANK_REL, PROJECTOR_CLEANUP_TOL, RESIDUAL_TOL,
+                     SVD_RANK_REL)
 from .tensorspace import (TensorSpace, _relative_norm, dagger,
                           require_finite, unitarity_residual)
 
-SVD_RANK_REL = 1e-9
-COMM_REL_TOL = 1e-9
-CLUSTER_REL = 1e-7
-RESIDUAL_TOL = 1e-8
-# residuals of what a generic element yields (its spectral projectors,
-# its support) carry the eigensolver's roundoff on top
-GENERIC_RESIDUAL_TOL = RESIDUAL_TOL * 10
-# UnitaryIso accepts ||V^dag V - 1||_F / sqrt(dim) up to this
-ISO_UNITARITY_TOL = 1e-7
-# a connecting partial isometry needs rank m: sv[m-1] above this * sv[0]
-ISOMETRY_RANK_REL = 1e-8
-# a joint central product may sit this far (times sqrt(d_a)) from the
-# projector it is cleaned to
-PROJECTOR_CLEANUP_TOL = 1e-6
-# commutant_of solves over all D^2 matrix units, an SVD of a
-# (2n D^2) x D^2 commutator map for n test matrices; no pipeline step
-# calls it, and commutant stays within this cap.
-COMMUTANT_DIM_CAP = 32
 _GENERIC_SEED = 0
 
 
@@ -329,10 +315,13 @@ def _cluster_sorted(vals) -> list[list[int]]:
     return clusters
 
 
-def _random_hermitian(basis, rng) -> np.ndarray:
-    k = basis.shape[0]
-    c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    h = np.tensordot(c, basis, axes=(0, 0))
+def _random_hermitians(basis, rng, count) -> np.ndarray:
+    """``count`` random Hermitian elements of span(basis), from one draw
+    of each element's real, then imaginary, coefficients in turn."""
+    z = rng.standard_normal((count, 2, 1, basis.shape[0]))
+    # one vector-matrix product per element, as when each was drawn alone
+    h = (z[:, 0] + 1j * z[:, 1]) @ basis.reshape(basis.shape[0], -1)
+    h = h.reshape((count,) + basis.shape[1:])
     return (h + dagger(h)) / 2.0
 
 
@@ -340,8 +329,8 @@ def _generic_elements(basis, count) -> np.ndarray:
     """``count`` generic Hermitian elements of span(basis), drawn from
     _GENERIC_SEED in one sequence, so the first two are always the pair
     test_elements draws."""
-    rng = np.random.default_rng(_GENERIC_SEED)
-    return np.stack([_random_hermitian(basis, rng) for _ in range(count)])
+    return _random_hermitians(basis, np.random.default_rng(_GENERIC_SEED),
+                              count)
 
 
 def _spectral_projectors(S: MatrixSubalgebra, rng, count):
@@ -352,7 +341,7 @@ def _spectral_projectors(S: MatrixSubalgebra, rng, count):
     returns None when no draw does.
     """
     for _ in range(4):
-        vals, vecs = np.linalg.eigh(_random_hermitian(S.basis, rng))
+        vals, vecs = np.linalg.eigh(_random_hermitians(S.basis, rng, 1)[0])
         clusters = _cluster_sorted(vals)
         if len(clusters) != count:
             continue

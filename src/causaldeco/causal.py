@@ -13,7 +13,6 @@ each can serve as an oracle for the other.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,14 +22,11 @@ import numpy as np
 
 from .algebra import MatrixSubalgebra, matrix_units
 from .errors import (BorderlineToleranceWarning, InputError, NumericsError,
-                     check_tol, document, read_text)
+                     check_tol, document, dump_json, read_text)
+from .policy import (CHANNEL_UNITARITY_TOL, CHOI_TRACE_TOL, DIM_CAP,
+                     INFLUENCE_REL_TOL)
 from .relations import Relation
-from .tensorspace import DIM_CAP, TensorSpace, dagger, unitarity_residual
-
-INFLUENCE_REL_TOL = 1e-9
-CHOI_TRACE_TOL = 1e-8
-# UnitaryChannel accepts ||U^dag U - 1||_F / sqrt(dim) up to this
-CHANNEL_UNITARITY_TOL = 1e-8
+from .tensorspace import TensorSpace, dagger, unitarity_residual
 
 
 @dataclass
@@ -169,7 +165,7 @@ def unitary_to_json(U: UnitaryChannel) -> str:
     doc = {"in": _space_to_json(U.in_space),
            "out": _space_to_json(U.out_space),
            "matrix": matrix_to_cells(U.matrix)}
-    return json.dumps(doc, indent=2) + "\n"
+    return dump_json(doc, sort_keys=False) + "\n"
 
 
 def unitary_from_json(text: str) -> UnitaryChannel:

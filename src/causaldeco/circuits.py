@@ -16,23 +16,17 @@ square-unitary is reported by ``gates_unitary`` rather than assumed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .causal import UnitaryChannel, matrix_from_cells, matrix_to_cells
-from .errors import InputError, document, read_text
+from .errors import InputError, document, dump_json, read_text
 from .lattice import (ConceptLattice, build_concept_lattice, shape_from_json,
                       shape_to_json)
-from .tensorspace import (DIM_CAP, TensorSpace, as_dim, haar_unitary,
-                          unitarity_residual)
-
-GATE_UNITARITY_TOL = 1e-9
-# Intermediate contraction frames may exceed the channel cap when gates
-# are rectangular; this bounds the transient blow-up.
-FRAME_DIM_CAP = 4096
+from .policy import DIM_CAP, FRAME_DIM_CAP, GATE_UNITARITY_TOL
+from .tensorspace import TensorSpace, as_dim, haar_unitary, unitarity_residual
 
 LEG_ORDER_DOC = (
     "gate inputs: attached overall inputs sorted by label, then incoming "
@@ -362,7 +356,7 @@ def circuit_to_json(circuit: Circuit) -> str:
                         for (u, v), d in sorted(circuit.wire_dims.items())}
     doc["gates"] = {str(v): matrix_to_cells(g)
                     for v, g in sorted(circuit.gates.items())}
-    return json.dumps(doc, indent=2) + "\n"
+    return dump_json(doc, sort_keys=False) + "\n"
 
 
 def circuit_from_json(data) -> Circuit:

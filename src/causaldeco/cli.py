@@ -5,6 +5,9 @@ check (decide the C3 exclusion property), analyze (numerical causal
 structure of a unitary), decompose (synthesize a circuit), verify
 (check a claimed circuit against a unitary and a relation), roundtrip
 (seeded generate/decompose trials), gallery (named reference channels).
+Each command imports the numerical modules it uses when it runs, so
+check, lattice and --help start without numpy (lattice --format json
+loads it to indent a document past 1 KiB).
 
 Exit codes: 0 success or satisfied, 1 principled refusal or violation,
 2 malformed input, 3 numerical assertion failure (a LAPACK routine that
@@ -18,63 +21,14 @@ residual check the same.
 
 import argparse
 import functools
-import json
 import os
 import sys
 
-import numpy as np
-
-from .errors import InputError, NumericsError
-from .relations import Relation, check_c3ep, load_relation
+from .errors import InputError, NumericsError, dump_json
 from .lattice import (build_concept_lattice, check_c3ep_lattice,
                       overlap_lemma_check, shape_to_json, to_dot)
-from .causal import (INFLUENCE_REL_TOL, causal_structure_report, load_unitary,
-                     unitary_to_json)
-from .circuits import (circuit_to_json, load_circuit, random_circuit_unitary,
-                       uniform_dims)
-from .decompose import (FAILED, RECOMPOSE_TOL, SUCCESS, decompose,
-                        verify_decomposition)
-from .gallery import build_counterexample, loose_wires_c3, u3
-
-
-# compact JSON shorter than this is indented faster by the stdlib
-_SHORT_JSON = 1024
-
-
-def _dump(data) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte: the
-    C encoder writes compact text, and array ops break and indent it
-    outside strings, found by quote parity (escapes take the stdlib path,
-    as ``indent`` alone would make ``json`` take its pure-Python one)."""
-    text = json.dumps(data, sort_keys=True, separators=(",", ": "))
-    if len(text) < _SHORT_JSON or "\\" in text:
-        return json.dumps(data, indent=2, sort_keys=True)
-    b = np.frombuffer(text.encode(), np.uint8)
-    outside = ~np.bitwise_xor.accumulate(b == ord('"'))
-    opens = ((b == ord("[")) | (b == ord("{"))) & outside
-    closes = ((b == ord("]")) | (b == ord("}"))) & outside
-    # breaks after commas, after non-empty opens and before their closes
-    brk = (b == ord(",")) & outside
-    brk[:-1] |= opens[:-1] ^ closes[1:]
-    step = opens.view(np.int8)  # opens minus closes, in place
-    step -= closes
-    # bytes inserted after each byte: at a break, a newline and two spaces
-    # per depth after the byte, or after the close it precedes
-    ins = np.cumsum(step, dtype=np.int32)
-    ins[:-1] -= closes[1:]
-    ins *= 2
-    ins += 1
-    ins *= brk
-    # their running total, shifted by one and added to each byte's index,
-    # is the byte's place in the output
-    np.cumsum(ins, out=ins)
-    out = np.full(len(b) + ins[-1], ord(" "), np.uint8)
-    ins[1:] = ins[:-1]
-    ins[0] = 0
-    ins += np.arange(len(b), dtype=np.int32)
-    out[ins] = b
-    out[ins[brk] + 1] = ord("\n")
-    return str(out, "ascii")
+from .policy import INFLUENCE_REL_TOL, RECOMPOSE_TOL
+from .relations import Relation, check_c3ep, load_relation
 
 
 def _witness_line(witness) -> str:
@@ -88,7 +42,7 @@ def cmd_lattice(args) -> int:
     if args.format == "dot":
         sys.stdout.write(to_dot(shape))
     else:
-        print(_dump(shape_to_json(shape)))
+        print(dump_json(shape_to_json(shape), sort_keys=True))
     return 0
 
 
@@ -113,8 +67,8 @@ def cmd_check(args) -> int:
     if res.satisfied:
         triples = overlap_lemma_check(shape)
         if args.json:
-            print(_dump({"satisfied": True, "witness": None,
-                         "overlap_triples": triples}))
+            print(dump_json({"satisfied": True, "witness": None,
+                             "overlap_triples": triples}, sort_keys=True))
         else:
             print("Satisfied")
             print("routes agree: restriction scan, intersection criterion, "
@@ -131,8 +85,10 @@ def cmd_check(args) -> int:
 
 def _print_violation(args, res, evidence, note) -> int:
     if args.json:
-        print(_dump({"satisfied": False, "witness": res.witness.as_dict(),
-                     "path_evidence": list(evidence) if evidence else None}))
+        print(dump_json({"satisfied": False,
+                         "witness": res.witness.as_dict(),
+                         "path_evidence": list(evidence) if evidence
+                         else None}, sort_keys=True))
     else:
         print("Violated")
         print(_witness_line(res.witness))
@@ -142,13 +98,14 @@ def _print_violation(args, res, evidence, note) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .causal import causal_structure_report, load_unitary
     U = load_unitary(args.unitary)
     rep = causal_structure_report(U, rel_tol=args.tol)
     rel = rep.relation
     pairs = sorted(rel.pairs)
     border = sorted(rep.borderline)
     if args.json:
-        print(_dump({
+        print(dump_json({
             "inputs": list(rel.inputs),
             "outputs": list(rel.outputs),
             "pairs": [list(p) for p in pairs],
@@ -157,7 +114,7 @@ def cmd_analyze(args) -> int:
                       for a, b in sorted(rep.raw_norms)},
             "thresholds": {f"{a}->{b}": rep.thresholds[(a, b)]
                            for a, b in sorted(rep.thresholds)},
-        }))
+        }, sort_keys=True))
         return 0
     print("inputs: " + " ".join(rel.inputs))
     print("outputs: " + " ".join(rel.outputs))
@@ -220,7 +177,7 @@ def _report_data(report, padded=None, out=None) -> dict:
 
 def _print_report(report, as_json, padded=None, out=None):
     if as_json:
-        print(_dump(_report_data(report, padded, out)))
+        print(dump_json(_report_data(report, padded, out), sort_keys=True))
         return
     if padded:
         print("padded the relation with " + ", ".join(
@@ -250,6 +207,9 @@ def _print_report(report, as_json, padded=None, out=None):
 
 
 def cmd_decompose(args) -> int:
+    from .causal import load_unitary
+    from .circuits import circuit_to_json
+    from .decompose import FAILED, SUCCESS, decompose
     U = load_unitary(args.unitary)
     G = load_relation(args.relation)
     padded = None
@@ -270,6 +230,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .causal import load_unitary
+    from .circuits import load_circuit
+    from .decompose import SUCCESS, verify_decomposition
     U = load_unitary(args.unitary)
     circuit = load_circuit(args.circuit)
     G = load_relation(args.relation)
@@ -279,14 +242,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .circuits import random_circuit_unitary, uniform_dims
+    from .decompose import SUCCESS, decompose
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     G = load_relation(args.relation)
     res = check_c3ep(G)
     if res.violated:
         if args.json:
-            print(_dump({"status": "RefusedC3EP",
-                         "witness": res.witness.as_dict()}))
+            print(dump_json({"status": "RefusedC3EP",
+                             "witness": res.witness.as_dict()},
+                            sort_keys=True))
         else:
             print("refused: relation violates the exclusion property")
             print(_witness_line(res.witness))
@@ -314,7 +280,8 @@ def cmd_roundtrip(args) -> int:
                          "error": str(exc), "pass": False})
     npass = sum(r["pass"] for r in rows)
     if args.json:
-        print(_dump({"trials": args.trials, "passes": npass, "rows": rows}))
+        print(dump_json({"trials": args.trials, "passes": npass, "rows": rows},
+                        sort_keys=True))
     else:
         for r in rows:
             if r["status"] == "error":
@@ -329,6 +296,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_gallery(args) -> int:
+    from .causal import unitary_to_json
+    from .gallery import build_counterexample, loose_wires_c3, u3
     name = args.name
     if name == "u3":
         U = u3()
@@ -425,6 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _lapack_error() -> type:
+    """numpy's LinAlgError, which only a loaded numpy can raise; before
+    numpy is loaded, an error class already caught."""
+    numpy = sys.modules.get("numpy")
+    return numpy.linalg.LinAlgError if numpy else NumericsError
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -432,7 +408,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, np.linalg.LinAlgError) as exc:
+    except (NumericsError, _lapack_error()) as exc:
         # LinAlgError is a ValueError, but a LAPACK routine that does not
         # converge is a numerical failure, not malformed input
         print(f"numerical failure: {exc}", file=sys.stderr)

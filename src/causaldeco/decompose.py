@@ -24,6 +24,7 @@ from .circuits import Circuit, compose_frame, compose_matrix, \
     fix_gate_phase, gate_legs
 from .errors import InputError, NumericsError, check_tol
 from .lattice import build_concept_lattice, connectivity
+from .policy import INCLUSION_TOL, RECOMPOSE_TOL
 from .relations import C3Witness, Relation, check_c3ep
 
 SUCCESS = "Success"
@@ -31,11 +32,6 @@ REFUSED_C3EP = "RefusedC3EP"
 REFUSED_CAUSAL = "RefusedCausal"
 OBSTRUCTION = "Obstruction"
 FAILED = "Failed"
-
-# recomposition residual counts as zero below tol * sqrt(dim)
-RECOMPOSE_TOL = 1e-8
-# wire algebras must sit inside the images they were cut from
-INCLUSION_TOL = 1e-6
 
 
 @dataclass

@@ -4,11 +4,15 @@ The CLI maps these onto exit codes: InputError to 2, NumericsError to 3.
 Principled refusals are not exceptions; they travel in report objects.
 Every JSON document comes through ``read_text`` and ``document``, and
 every user tolerance through ``check_tol``: each raises any failure as
-InputError, so malformed input ends as nothing else.
+InputError, so malformed input ends as nothing else.  Every JSON
+document written, report or file, comes from ``dump_json``.
 """
 
 import json
 import numbers
+
+# compact JSON shorter than this is indented faster by the stdlib
+_SHORT_JSON = 1024
 
 
 class InputError(ValueError):
@@ -71,3 +75,41 @@ def check_tol(tol) -> None:
                                      and 0 <= tol < 1):
         raise InputError(f"tolerance must be finite and in [0, 1), "
                          f"got {tol!r}")
+
+
+def dump_json(data, sort_keys: bool) -> str:
+    """``json.dumps(data, indent=2, sort_keys=sort_keys)``, byte for byte:
+    the C encoder writes compact text, and array ops break and indent it
+    outside strings, found by quote parity (escapes take the stdlib path,
+    as ``indent`` alone would make ``json`` take its pure-Python one).
+    CLI reports sort their keys; files keep insertion order."""
+    text = json.dumps(data, sort_keys=sort_keys, separators=(",", ": "))
+    if len(text) < _SHORT_JSON or "\\" in text:
+        return json.dumps(data, indent=2, sort_keys=sort_keys)
+    import numpy as np  # only long documents load numpy
+    b = np.frombuffer(text.encode(), np.uint8)
+    outside = ~np.bitwise_xor.accumulate(b == ord('"'))
+    opens = ((b == ord("[")) | (b == ord("{"))) & outside
+    closes = ((b == ord("]")) | (b == ord("}"))) & outside
+    # breaks after commas, after non-empty opens and before their closes
+    brk = (b == ord(",")) & outside
+    brk[:-1] |= opens[:-1] ^ closes[1:]
+    step = opens.view(np.int8)  # opens minus closes, in place
+    step -= closes
+    # bytes inserted after each byte: at a break, a newline and two spaces
+    # per depth after the byte, or after the close it precedes
+    ins = np.cumsum(step, dtype=np.int32)
+    ins[:-1] -= closes[1:]
+    ins *= 2
+    ins += 1
+    ins *= brk
+    # their running total, shifted by one and added to each byte's index,
+    # is the byte's place in the output
+    np.cumsum(ins, out=ins)
+    out = np.full(len(b) + ins[-1], ord(" "), np.uint8)
+    ins[1:] = ins[:-1]
+    ins[0] = 0
+    ins += np.arange(len(b), dtype=np.int32)
+    out[ins] = b
+    out[ins[brk] + 1] = ord("\n")
+    return str(out, "ascii")

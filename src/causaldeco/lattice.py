@@ -26,11 +26,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import InputError, NumericsError, document
+from .policy import MAX_CONCEPTS
 from .relations import Relation, bit_masks
-
-# Most concepts a lattice may have.  A relation with at most 12 labels on
-# a side has at most 2^12 concepts, so all of those fit.
-MAX_CONCEPTS = 4096
 
 
 def _is_node(i, n) -> bool:

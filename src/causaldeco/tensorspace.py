@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericsError
-
-# Hard cap on ambient dimensions for dense linear algebra.
-DIM_CAP = 256
+from .policy import DIM_CAP  # noqa: F401 (re-exported)
 
 
 def _as_complex(mat) -> np.ndarray:

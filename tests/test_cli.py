@@ -20,10 +20,13 @@ from hypothesis import given, settings, strategies as st
 from causaldeco.causal import (INFLUENCE_REL_TOL, UnitaryChannel,
                                causal_structure_report, load_unitary,
                                unitary_to_json)
-from causaldeco.circuits import load_circuit, random_circuit_unitary
+from causaldeco.circuits import (circuit_to_json, load_circuit,
+                                 random_circuit_unitary)
 import causaldeco.cli
-from causaldeco.cli import _SHORT_JSON, _dump, build_parser, main
-from causaldeco.decompose import RECOMPOSE_TOL
+from causaldeco.cli import build_parser, main
+from causaldeco.decompose import RECOMPOSE_TOL, decompose
+import causaldeco.errors
+from causaldeco.errors import _SHORT_JSON, dump_json
 from causaldeco.gallery import u3
 from causaldeco.lattice import (build_concept_lattice, connectivity,
                                 shape_from_json, shape_to_json)
@@ -325,11 +328,12 @@ def test_verify_non_number_gate_cells_exit_2(tmp_path, capsys, cells):
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch, u3_file):
-    import causaldeco.cli
+    import causaldeco.causal
 
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")
-    monkeypatch.setattr(causaldeco.cli, "causal_structure_report", exhausted)
+    monkeypatch.setattr(causaldeco.causal, "causal_structure_report",
+                        exhausted)
     assert main(["analyze", u3_file]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -769,20 +773,21 @@ def test_closed_pipe_exits_141_quietly(tmp_path):
 
 
 def assert_dump_is_indent(data):
-    got, want = _dump(data), json.dumps(data, indent=2, sort_keys=True)
-    if got != want:
-        # pytest's own diff of two long texts can take minutes
-        k = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y),
-                 min(len(got), len(want)))
-        pytest.fail(f"first difference at {k} of {len(want)}: "
-                    f"{got[k - 30:k + 30]!r} != {want[k - 30:k + 30]!r}")
+    for sort_keys in (True, False):
+        got = dump_json(data, sort_keys=sort_keys)
+        want = json.dumps(data, indent=2, sort_keys=sort_keys)
+        if got != want:
+            # pytest's own diff of two long texts can take minutes
+            k = next((k for k, (x, y) in enumerate(zip(got, want))
+                      if x != y), min(len(got), len(want)))
+            pytest.fail(f"first difference at {k} of {len(want)}: "
+                        f"{got[k - 30:k + 30]!r} != {want[k - 30:k + 30]!r}")
 
 
 def writes_by_array_ops(data) -> bool:
-    """Whether ``_dump`` takes the array path on ``data``, after checking
-    its text."""
-    with mock.patch.object(causaldeco.cli.np, "frombuffer",
-                           wraps=np.frombuffer) as spy:
+    """Whether ``dump_json`` takes the array path on ``data``, after
+    checking its text."""
+    with mock.patch.object(np, "frombuffer", wraps=np.frombuffer) as spy:
         assert_dump_is_indent(data)
     return spy.called
 
@@ -804,7 +809,7 @@ PROPERTY = settings(max_examples=200, derandomize=True, deadline=None,
 def test_dump_is_the_stdlib_indent(data):
     assert_dump_is_indent(data)
     # every tree through the array path too, however short its text
-    with mock.patch.object(causaldeco.cli, "_SHORT_JSON", 0):
+    with mock.patch.object(causaldeco.errors, "_SHORT_JSON", 0):
         assert_dump_is_indent(data)
 
 
@@ -829,17 +834,34 @@ def test_dump_of_the_largest_shape():
 
 
 def test_json_is_written_only_by_dump():
-    # every JSON document the CLI prints comes from _dump, which the
-    # tests above hold to the stdlib's indented text
-    tree = ast.parse((REPO_ROOT / "src" / "causaldeco" / "cli.py").read_text())
-
+    # every JSON document the CLI prints and every circuit or unitary
+    # file comes from dump_json, which the tests above hold to the
+    # stdlib's indented text
     def dumps(node):
         return [n for n in ast.walk(node)
                 if isinstance(n, ast.Attribute) and n.attr == "dumps"
                 or isinstance(n, ast.Name) and n.id == "dumps"]
-    inside = [n for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-              and f.name == "_dump" for n in dumps(f)]
-    assert inside and len(dumps(tree)) == len(inside)
+
+    def tree(module):
+        return ast.parse((REPO_ROOT / "src" / "causaldeco"
+                          / f"{module}.py").read_text())
+    for module in ("cli", "circuits", "causal"):
+        assert not dumps(tree(module)), module
+    errors = tree("errors")
+    inside = [n for f in ast.walk(errors) if isinstance(f, ast.FunctionDef)
+              and f.name == "dump_json" for n in dumps(f)]
+    assert inside and len(dumps(errors)) == len(inside)
+
+
+def test_files_are_the_stdlib_indent():
+    # circuit and unitary files keep their keys in insertion order and
+    # read back to the same text through the stdlib's pure-Python indent
+    _, U = random_circuit_unitary(chain2_relation(), seed=3)
+    circuit, _ = decompose(U, chain2_relation())
+    for text in (unitary_to_json(U), circuit_to_json(circuit),
+                 unitary_to_json(u3())):
+        assert len(text) > _SHORT_JSON
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 # -- the shared parser ---------------------------------------------------

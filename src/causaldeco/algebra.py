@@ -20,9 +20,11 @@ M_D has the scalars as centre, read from k = D^2); commutants solve it
 on all D^2 matrix units, so they stay off the synthesis path: a
 reduction onto local legs is the closure of the blocks, over the rest
 legs, of a few generic elements (of the basis when it is no larger),
-with no Schmidt SVD and no double commutant.  The factor test reads a
-basis in matrix-unit layout, as heisenberg_image builds it, as a copy
-of M_n and falls back to the centre otherwise.  Minimal central
+with no Schmidt SVD and no double commutant.  heisenberg_image's
+RowImage holds W^dag(M_d x 1)W as the rows W of a unitary and forms its
+matrix-unit basis only when read.  The factor test reads an algebra of
+n^2 elements as a copy of M_n in that layout, through combine, and
+falls back to the centre otherwise.  Minimal central
 projectors and the Wedderburn form of a factor both read one spectral
 decomposition of a generic element.
 
@@ -136,20 +138,21 @@ class MatrixSubalgebra:
             raise InputError(
                 f"basis shape {self.basis.shape} does not match ambient "
                 f"dimension {d}")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+        self.dim = self.basis.shape[0]
 
     def coefficients(self, mat) -> np.ndarray:
         mat = np.asarray(mat, complex)
         flat = mat.reshape(mat.shape[:-2] + (-1,))
         return (flat.conj() @ self.basis.reshape(self.dim, -1).T).conj()
 
+    def combine(self, coeffs) -> np.ndarray:
+        """sum_k c_k b_k for each coefficient vector of a (..., dim) stack."""
+        coeffs = np.asarray(coeffs)
+        return (coeffs @ self.basis.reshape(self.dim, -1)).reshape(
+            coeffs.shape[:-1] + self.basis.shape[1:])
+
     def project(self, mat) -> np.ndarray:
-        mat = np.asarray(mat, complex)
-        return (self.coefficients(mat)
-                @ self.basis.reshape(self.dim, -1)).reshape(mat.shape)
+        return self.combine(self.coefficients(mat))
 
     def residual(self, mat):
         mat = np.asarray(mat, dtype=complex)
@@ -168,7 +171,7 @@ class MatrixSubalgebra:
         """The first ``count`` generic Hermitian elements of the span,
         drawn once per algebra (again for a longer run), read-only."""
         if self._draws is None or len(self._draws) < count:
-            self._draws = _generic_elements(self.basis, count)
+            self._draws = _generic_elements(self, count)
             self._draws.flags.writeable = False
         return self._draws[:count]
 
@@ -192,6 +195,37 @@ class MatrixSubalgebra:
         sub = ambient.subspace(labels)
         return cls(ambient, orthonormalize(
             ambient.embed(matrix_units(sub.total_dim), labels)))
+
+
+class RowImage(MatrixSubalgebra):
+    """W^dag(M_d x 1)W for a unitary W held as its d row blocks W_i,
+    shape (d, D/d, D).  Its basis s W_i^dag W_j, s = sqrt(d/D), in
+    matrix-unit layout, is formed only when read.  Coefficients of m are
+    s Tr_rest(W m W^dag) and a combination with d x d coefficients C is
+    s W^dag(C x 1)W: one D x D product per matrix."""
+
+    def __init__(self, ambient: TensorSpace, rows):
+        self.ambient, self.rows, self._draws = ambient, rows, None
+        self.dim, self.scale = rows.shape[0] ** 2, math.sqrt(
+            rows.shape[0] / ambient.total_dim)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        w_dag = dagger(self.rows) * self.scale
+        return (w_dag[:, None] @ self.rows[None]).reshape(
+            (self.dim,) + self.rows.shape[2:] * 2)
+
+    def coefficients(self, mat) -> np.ndarray:
+        (d, m, D), lead = self.rows.shape, np.shape(mat)[:-2]
+        wm = self.rows.reshape(D, D) @ np.asarray(mat, complex)
+        t = wm.reshape(lead + (d, m * D)) @ dagger(self.rows.reshape(d, -1))
+        return self.scale * t.reshape(lead + (d * d,))
+
+    def combine(self, coeffs) -> np.ndarray:
+        d, m, D = self.rows.shape
+        c = self.scale * np.reshape(coeffs, np.shape(coeffs)[:-1] + (d, d))
+        wc = (c @ self.rows.reshape(d, m * D)).reshape(c.shape[:-2] + (D, D))
+        return dagger(self.rows.reshape(D, D)) @ wc
 
 
 def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
@@ -287,18 +321,18 @@ def is_factor(S: MatrixSubalgebra) -> bool:
     """Whether S has a trivial centre.
 
     A basis of n^2 elements in matrix-unit layout, b_ij b_kl = s
-    delta_jk b_il with s = sqrt(n / D) (heisenberg_image's basis), spans
-    a copy of M_n, a factor.  The identity is bilinear, so it is tested
-    on the generic pair x, y: xy = s sum_il (C_x C_y)_il b_il for their
-    n x n coefficient matrices, to RESIDUAL_TOL.  Any other basis is
-    decided by its centre."""
+    delta_jk b_il with s = sqrt(n / D) (a RowImage's), spans a copy of
+    M_n, a factor.  The identity is bilinear, so it is tested on the
+    generic pair x, y: xy = s sum_il (C_x C_y)_il b_il for their n x n
+    coefficient matrices, to RESIDUAL_TOL, through S.combine (a RowImage
+    forms no basis).  Any other basis is decided by its centre."""
     n = math.isqrt(S.dim)
     if S.dim and n * n == S.dim:
         x, y = S.test_elements()
         cx, cy = (S.coefficients(t).reshape(n, n) for t in (x, y))
         xy = x @ y
-        units = math.sqrt(n / S.ambient.total_dim) * np.tensordot(
-            (cx @ cy).ravel(), S.basis, axes=1)
+        units = math.sqrt(n / S.ambient.total_dim) * S.combine(
+            (cx @ cy).ravel())
         if np.linalg.norm(xy - units) <= RESIDUAL_TOL * np.linalg.norm(xy):
             return True
     return centre(S).dim == 1
@@ -315,22 +349,20 @@ def _cluster_sorted(vals) -> list[list[int]]:
     return clusters
 
 
-def _random_hermitians(basis, rng, count) -> np.ndarray:
-    """``count`` random Hermitian elements of span(basis), from one draw
-    of each element's real, then imaginary, coefficients in turn."""
-    z = rng.standard_normal((count, 2, 1, basis.shape[0]))
-    # one vector-matrix product per element, as when each was drawn alone
-    h = (z[:, 0] + 1j * z[:, 1]) @ basis.reshape(basis.shape[0], -1)
-    h = h.reshape((count,) + basis.shape[1:])
+def _random_hermitians(S: MatrixSubalgebra, rng, count) -> np.ndarray:
+    """``count`` random Hermitian elements of S, basis or RowImage, from
+    one draw of each element's real, then imaginary, coefficients."""
+    z = rng.standard_normal((count, 2, 1, S.dim))
+    # one combination per element, as when each was drawn alone
+    h = S.combine(z[:, 0] + 1j * z[:, 1])[:, 0]
     return (h + dagger(h)) / 2.0
 
 
-def _generic_elements(basis, count) -> np.ndarray:
-    """``count`` generic Hermitian elements of span(basis), drawn from
+def _generic_elements(S: MatrixSubalgebra, count) -> np.ndarray:
+    """``count`` generic Hermitian elements of S, drawn from
     _GENERIC_SEED in one sequence, so the first two are always the pair
     test_elements draws."""
-    return _random_hermitians(basis, np.random.default_rng(_GENERIC_SEED),
-                              count)
+    return _random_hermitians(S, np.random.default_rng(_GENERIC_SEED), count)
 
 
 def _spectral_projectors(S: MatrixSubalgebra, rng, count):
@@ -341,7 +373,7 @@ def _spectral_projectors(S: MatrixSubalgebra, rng, count):
     returns None when no draw does.
     """
     for _ in range(4):
-        vals, vecs = np.linalg.eigh(_random_hermitians(S.basis, rng, 1)[0])
+        vals, vecs = np.linalg.eigh(_random_hermitians(S, rng, 1)[0])
         clusters = _cluster_sorted(vals)
         if len(clusters) != count:
             continue
@@ -475,7 +507,9 @@ def _check_pairwise_commuting(tests):
     # independent draws, which is what the bilinear argument needs
     for (i, x), (j, y) in itertools.combinations(enumerate(tests), 2):
         x, y = x[:, None], y[None]
-        c = np.max(_relative_norm(x @ y - y @ x, x, y))
+        c = x @ y
+        c -= y @ x
+        c = np.max(_relative_norm(c, x, y))
         if not c <= COMM_REL_TOL:
             raise NumericsError(f"algebras {i} and {j} do not commute "
                                 f"(relative commutator {c:.2e})")
@@ -706,18 +740,12 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
         projectors.append(p_clean)
         isometries.append(q)
 
+    # this gate also makes the projectors orthogonal: ranks that do not
+    # sum to d_a miss the identity by at least 1 / sqrt(d_a), and when
+    # they do, sum_{x != y} ||p_x p_y||_F^2 = ||sum_x p_x - 1||_F^2
     total = sum(projectors)
     if not np.linalg.norm(total - np.eye(d_a)) <= RESIDUAL_TOL * np.sqrt(d_a):
         raise NumericsError("sector projectors do not resolve the identity")
-    # ||p_x p_y|| = ||q_x^dag q_y|| for isometries q, so the pairs are
-    # the off-diagonal blocks of one Gram matrix
-    qs = np.concatenate(isometries, axis=1)
-    cuts = np.cumsum([0] + [q.shape[1] for q in isometries[:-1]])
-    sq = np.abs(dagger(qs) @ qs) ** 2
-    pair = np.add.reduceat(np.add.reduceat(sq, cuts, axis=0), cuts, axis=1)
-    np.fill_diagonal(pair, 0.0)
-    if not np.sqrt(np.max(pair)) <= RESIDUAL_TOL * d_a:
-        raise NumericsError("sector projectors are not orthogonal")
 
     rows = []
     sector_dims = []

@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import MatrixSubalgebra, matrix_units
+from .algebra import RowImage, matrix_units
 from .errors import (BorderlineToleranceWarning, InputError, NumericsError,
                      check_tol, document, dump_json, read_text)
 from .policy import (CHANNEL_UNITARITY_TOL, CHOI_TRACE_TOL, DIM_CAP,
@@ -185,7 +185,7 @@ def load_unitary(path) -> UnitaryChannel:
     return unitary_from_json(read_text(path))
 
 
-def heisenberg_image(U: UnitaryChannel, betas) -> MatrixSubalgebra:
+def heisenberg_image(U: UnitaryChannel, betas) -> RowImage:
     """The subalgebra U^dag(L(H_beta) (x) 1)U on the input space.
 
     Closed form: group the rows of U by their beta index, W_i = the
@@ -193,16 +193,12 @@ def heisenberg_image(U: UnitaryChannel, betas) -> MatrixSubalgebra:
     U^dag(E_ij (x) 1)U = W_i^dag W_j, and since conjugation preserves the
     Hilbert-Schmidt inner product, sqrt(d_beta/D) W_i^dag W_j over the
     matrix units E_ij (row-major, beta legs in output order) is an
-    orthonormal basis, formed in one batched product.
+    orthonormal basis, which the RowImage of the rows W forms when read.
     """
     betas = _ordered_subset(U.out_space, betas, "output")
     if not betas:
         raise InputError("heisenberg_image needs at least one output leg")
-    w = _rows_by_beta(U, betas)
-    d_beta = w.shape[0]
-    w_dag = w.conj().transpose(0, 2, 1) * np.sqrt(d_beta / U.dim)
-    basis = (w_dag[:, None] @ w[None]).reshape(d_beta * d_beta, U.dim, U.dim)
-    return MatrixSubalgebra(U.in_space, basis)
+    return RowImage(U.in_space, _rows_by_beta(U, betas))
 
 
 def _rows_by_beta(U: UnitaryChannel, betas) -> np.ndarray:
@@ -224,9 +220,34 @@ def _ordered_subset(space: TensorSpace, labels, side) -> list[str]:
     return [l for l in space.labels if l in set(labels)]
 
 
-def _output_leg_norms(U: UnitaryChannel, b: str, alphas) -> dict:
+def _leg_plans(U: UnitaryChannel, alphas) -> tuple:
+    """Built once per channel for every output leg: _output_leg_norms'
+    buffer g, all one-hot digit matrices side by side (row-doubled for
+    g's real view), and per leg a: a's columns there, a view of g's
+    diagonal blocks, memory all legs share for rows and differences,
+    pairs k < l, a NaN-keeping off-diagonal mask, room for |g_kk-g_ll|^2."""
+    space, D, dims = U.in_space, U.dim, U.in_space.dims
+    inner = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    onehot = np.hstack([(np.arange(D) // s % d)[:, None] == np.arange(d)
+                        for s, d in zip(inner, dims)]).astype(float)
+    g, mem, plans = np.empty((D, D), complex), np.empty(D * D, complex), {}
+    for a in alphas:
+        k = space.index(a)
+        d, n, s = dims[k], (D // dims[k]) ** 2, inner[k]
+        ku, lu = np.triu_indices(d, 1)
+        plans[a] = (
+            slice(sum(dims[:k]), sum(dims[:k + 1])),
+            np.einsum("ikjlkm->kijlm", g.reshape((D // (d * s), d, s) * 2)),
+            mem[:d * n].reshape(d, n),
+            mem[d * n:(d + ku.size) * n].reshape(ku.size, n),
+            ku, lu, 1.0 - np.eye(d), np.zeros((d, d)))
+    return g, onehot, np.repeat(onehot, 2, axis=0), plans
+
+
+def _output_leg_norms(U: UnitaryChannel, b: str, kernel) -> dict:
     """Max raw Frobenius norm of [U^dag(E (x) 1)U, F (x) 1] over matrix
-    units E of output leg b and F of input leg a, for each a in alphas.
+    units E of output leg b and F of input leg a, for each a in ``kernel``
+    (_leg_plans, which every output leg shares).
 
     With g = U^dag(E_ij (x) 1)U in a-leg blocks g_kl, the squared norm
     for F_kl is the off-diagonal block mass in block column k and in
@@ -239,29 +260,10 @@ def _output_leg_norms(U: UnitaryChannel, b: str, alphas) -> dict:
     masses.  All terms are sums of squares, so a commuting pair reads at
     roundoff, where a Gram form |g_kk|^2 + |g_ll|^2 - 2 Re<g_kk, g_ll>
     would cancel O(1) terms.  No leg's arithmetic depends on the other
-    legs in alphas, and a NaN stays a NaN."""
-    space, D, dims = U.in_space, U.dim, U.in_space.dims
+    legs planned, and a NaN stays a NaN."""
+    g, onehot, onehot2, plans = kernel
     w = _rows_by_beta(U, [b])
-    inner = [math.prod(dims[k + 1:]) for k in range(len(dims))]
-    # every leg's one-hot digit matrix side by side, for any alphas
-    onehot = np.hstack([(np.arange(D) // s % d)[:, None] == np.arange(d)
-                        for s, d in zip(inner, dims)]).astype(float)
-    onehot2 = np.repeat(onehot, 2, axis=0)  # for the real view of g
-    g, mem, plans = np.empty((D, D), complex), np.empty(D * D, complex), {}
-    for a in alphas:
-        # a's columns there, a view of g's diagonal blocks, memory all legs
-        # share for their rows and differences, the pairs k < l, a mask
-        # that zeroes a diagonal but keeps a NaN, and |g_kk - g_ll|^2
-        k = space.index(a)
-        d, n, s = dims[k], (D // dims[k]) ** 2, inner[k]
-        ku, lu = np.triu_indices(d, 1)
-        plans[a] = (
-            slice(sum(dims[:k]), sum(dims[:k + 1])),
-            np.einsum("ikjlkm->kijlm", g.reshape((D // (d * s), d, s) * 2)),
-            mem[:d * n].reshape(d, n),
-            mem[d * n:(d + ku.size) * n].reshape(ku.size, n),
-            ku, lu, 1.0 - np.eye(d), np.zeros((d, d)))
-    best = dict.fromkeys(alphas, 0.0)
+    best = dict.fromkeys(plans, 0.0)
     for i in range(w.shape[0]):
         wi_dag = dagger(w[i])
         for j in range(i, w.shape[0]):
@@ -287,7 +289,7 @@ def pair_commutator_norm(U: UnitaryChannel, a: str, b: str) -> float:
     """Max raw Frobenius norm of [U^dag(E (x) 1)U, F (x) 1] over matrix
     units E of the b output leg and F of the a input leg: the one-leg case
     of ``_output_leg_norms``, with each image W_i^dag W_j in closed form."""
-    return _output_leg_norms(U, b, [a])[a]
+    return _output_leg_norms(U, b, _leg_plans(U, [a]))[a]
 
 
 def _pair_decision(U: UnitaryChannel, a: str, b: str, raw, rel_tol):
@@ -339,10 +341,11 @@ class CausalReport:
 def causal_structure_report(U: UnitaryChannel,
                             rel_tol=INFLUENCE_REL_TOL) -> CausalReport:
     """Causal structure from one ``_output_leg_norms`` pass per output
-    leg, with the raw norm, threshold and borderline flag of each pair."""
+    leg over plans built once, with the raw norm, threshold and
+    borderline flag of each pair."""
     check_tol(rel_tol)
-    by_b = {b: _output_leg_norms(U, b, U.in_space.labels)
-            for b in U.out_space.labels}
+    kernel = _leg_plans(U, U.in_space.labels)
+    by_b = {b: _output_leg_norms(U, b, kernel) for b in U.out_space.labels}
     pairs, raw_norms, thresholds, borderline = set(), {}, {}, []
     for a in U.in_space.labels:
         for b in U.out_space.labels:

@@ -131,14 +131,14 @@ def _inclusion_residuals(img, frame, gin, iso, leg) -> np.ndarray:
 def _output_rotation(img, frame, gin, iso, leg):
     """The rotation w the gate leaves on output ``leg``, up to phase.
 
-    The gate carries the unit e_i0 of the output's image (its basis
-    element i*d) to (w E_i0 w^dag) x 1, so the part on ``leg`` is
+    The gate carries the unit e_i0 = s W_i^dag W_0 of the output's image
+    (read from its rows) to (w E_i0 w^dag) x 1, so the part on ``leg`` is
     proportional to w_i w_0^dag; its column c, where |w_0| peaks, is w_i
     times one common factor, and the polar part of those columns is w.
     """
-    d = iso.codomain.dim(leg)
+    units = dagger(img.rows) * img.scale @ img.rows[0]
     parts = iso.codomain.partial_trace(
-        iso.conj(frame.partial_trace(img.basis[::d], gin)), [leg])
+        iso.conj(frame.partial_trace(units, gin)), [leg])
     c = int(np.argmax(np.abs(np.diagonal(parts[0]))))
     return _projected_unitary(parts[:, :, c].T)
 

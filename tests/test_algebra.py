@@ -892,9 +892,9 @@ def test_generic_elements_drawn_once_and_read_only(monkeypatch):
     fresh = algebra_module._generic_elements
     draws = []
 
-    def recording(basis, count):
+    def recording(S, count):
         draws.append(count)
-        return fresh(basis, count)
+        return fresh(S, count)
     monkeypatch.setattr(algebra_module, "_generic_elements", recording)
     pair = S.test_elements()
     assert S.test_elements() is not None and draws == [2]
@@ -902,7 +902,7 @@ def test_generic_elements_drawn_once_and_read_only(monkeypatch):
     assert draws == [2, 5]
     assert np.array_equal(pair, five[:2])
     for n in (2, 4, 5):
-        assert np.array_equal(S.generic_elements(n), fresh(S.basis, n))
+        assert np.array_equal(S.generic_elements(n), fresh(S, n))
     assert draws == [2, 5]
     for cached in (pair, S.test_elements(), five):
         with pytest.raises(ValueError):
@@ -973,7 +973,7 @@ def test_non_finite_svd_input_raises():
                     algebra.MatrixSubalgebra(amb, units)),
                 lambda: algebra._projected_unitary(m2),
                 lambda: _output_rotation(
-                    algebra.MatrixSubalgebra(pair, np.stack([m4] * 4)), pair,
+                    algebra.RowImage(pair, m4.reshape(2, 2, 4)), pair,
                     ["x", "y"], algebra.UnitaryIso(np.eye(4), pair, pair),
                     "x"))
             for call in calls:
@@ -1106,6 +1106,44 @@ def test_nan_refused_by_sector_checks(monkeypatch):
         lambda S, seed=0: [_with_nan(p) for p in projs(S, seed)])
     with pytest.raises(NumericsError, match="joint central product"):
         _sectors_of_reductions(a_space, reduced, seed=0)
+
+
+def test_overlapping_central_projectors_do_not_resolve_the_identity(
+        monkeypatch):
+    # central projectors of ranks 1, 2, 1 on d_a = 4, each turned by its
+    # own rotation exp(i eps H_k), resolve the identity only as far as
+    # they are orthogonal: sum_{x != y} ||p_x p_y||_F^2 equals
+    # ||sum p - 1||_F^2.  Every family is refused by the identity gate,
+    # or split with sector projectors orthogonal to RESIDUAL_TOL d_a
+    rng = np.random.default_rng(11)
+    a_space = TensorSpace((("a", 4),))
+    v0 = haar_unitary(4, rng)
+    refused = 0
+    for eps in np.logspace(-12, -1, 23):
+        family = []
+        for cols in ([0], [1, 2], [3]):
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            vals, vecs = np.linalg.eigh(z + dagger(z))
+            v = vecs @ np.diag(np.exp(1j * eps * vals)) @ dagger(vecs) @ v0
+            family.append(v[:, cols] @ dagger(v[:, cols]))
+        overlaps = sum(np.linalg.norm(p @ q) ** 2 for p in family
+                       for q in family if p is not q)
+        miss = np.linalg.norm(sum(family) - np.eye(4)) ** 2
+        assert abs(overlaps - miss) <= 1e-14 * np.sqrt(miss) + 1e-28
+        monkeypatch.setattr(algebra_module, "minimal_central_projectors",
+                            lambda S, seed=0: family)
+        try:
+            sec = _sectors_of_reductions(
+                a_space, [MatrixSubalgebra.full(a_space)], seed=0)
+        except NumericsError as exc:
+            assert "do not resolve the identity" in str(exc)
+            refused += 1
+            continue
+        assert sec.sectors == ((1,), (2,), (1,))
+        ps = sec.projectors
+        assert max(np.linalg.norm(ps[i] @ ps[j]) for i in range(3)
+                   for j in range(i + 1, 3)) <= 1e-8 * 4
+    assert 0 < refused < 23
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

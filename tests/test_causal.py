@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from causaldeco.algebra import MatrixSubalgebra, is_factor
 from causaldeco.causal import (
     UnitaryChannel,
+    _rows_by_beta,
     atomicity_check,
     causal_structure,
     causal_structure_report,
@@ -131,6 +133,55 @@ def test_heisenberg_image_matrix_unit_layout(betas):
         want = np.sqrt(d_beta / 6) * dagger(u.matrix) \
             @ u.out_space.embed(e, betas) @ u.matrix
         assert np.abs(img.basis[i * d_beta + j] - want).max() <= 1e-13
+
+
+@st.composite
+def row_images(draw):
+    """A Haar channel on output legs (b, r), the image of b or of both
+    (d_beta^2 below, at or above D), and matrices: a random stack and an
+    element of the image."""
+    d_b, d_r = draw(st.sampled_from(
+        [(1, 3), (2, 4), (2, 3), (2, 2), (3, 3), (3, 2), (4, 2), (3, 1)]))
+    betas = draw(st.sampled_from([["b"], ["b", "r"]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = d_b * d_r
+    outs = TensorSpace((("b", d_b), ("r", d_r)))
+    U = UnitaryChannel(haar_unitary(D, rng), TensorSpace((("a", D),)), outs)
+    k = draw(st.integers(1, 3))
+    mats = rng.standard_normal((k, D, D)) + 1j * rng.standard_normal((k, D, D))
+    d_beta = outs.subspace(betas).total_dim
+    inside = U.heisenberg(outs.embed(rng.standard_normal((d_beta, d_beta)),
+                                     betas))
+    return U, betas, np.concatenate([mats, inside[None]])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(case=row_images())
+def test_row_image_matches_its_explicit_basis(case):
+    # the image held as rows answers as MatrixSubalgebra on its basis,
+    # and that basis, formed on first read, is the batched product
+    # sqrt(d_beta/D) W_i^dag W_j bit for bit
+    U, betas, mats = case
+    img = heisenberg_image(U, betas)
+    w = _rows_by_beta(U, betas)
+    d = w.shape[0]
+    w_dag = w.conj().transpose(0, 2, 1) * np.sqrt(d / U.dim)
+    basis = (w_dag[:, None] @ w[None]).reshape(d * d, U.dim, U.dim)
+    ref = MatrixSubalgebra(U.in_space, basis)
+    # coefficients and projections to 1e-12 of the matrices' scale;
+    # residuals are relative already
+    scale = np.linalg.norm(mats)
+    for got, want, tol in [
+            (img.coefficients(mats), ref.coefficients(mats), scale),
+            (img.project(mats), ref.project(mats), scale),
+            (img.residual(mats), ref.residual(mats), 1.0),
+            (img.generic_elements(3), ref.generic_elements(3), 1.0)]:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * tol
+    assert img.residual(mats[-1]) <= 1e-12
+    assert is_factor(img) and is_factor(ref)
+    assert "basis" not in vars(img)
+    assert np.array_equal(img.basis, basis)
 
 
 def test_heisenberg_image_algebra():

@@ -204,16 +204,24 @@ def test_swap_on_its_own_relation():
 def test_causal_structure_computed_once(monkeypatch):
     import causaldeco.causal
     leg_norms = causaldeco.causal._output_leg_norms
-    calls = []
+    leg_plans = causaldeco.causal._leg_plans
+    calls, plans = [], []
 
-    def counting(U, b, alphas):
-        calls.append((b, tuple(alphas)))
-        return leg_norms(U, b, alphas)
+    def counting(U, b, kernel):
+        calls.append((b, tuple(kernel[-1])))
+        return leg_norms(U, b, kernel)
+
+    def planning(U, alphas):
+        plans.append(tuple(alphas))
+        return leg_plans(U, alphas)
     monkeypatch.setattr(causaldeco.causal, "_output_leg_norms", counting)
+    monkeypatch.setattr(causaldeco.causal, "_leg_plans", planning)
     _, report = decompose(swap_channel(), swap_relation())
     assert report.status == "Success" and report.faithful
-    # one pass per output leg, each testing every input leg
+    # one pass per output leg, each testing every input leg, over the
+    # input-leg plans built once
     assert sorted(calls) == [("b1", ("a1", "a2")), ("b2", ("a1", "a2"))]
+    assert plans == [("a1", "a2")]
 
 
 def test_no_commutant_solve_on_the_pipeline(monkeypatch):
@@ -365,12 +373,12 @@ def test_degenerate_generic_draw_never_succeeds(monkeypatch, pair_too):
     draw = algebra._generic_elements
     if not pair_too:
         monkeypatch.setattr(algebra.MatrixSubalgebra, "test_elements",
-                            lambda self: draw(self.basis, 2))
+                            lambda self: draw(self, 2))
     calls = []
 
-    def identity(basis, count):
-        calls.append(count)
-        return np.stack([np.eye(basis.shape[1], dtype=complex)] * count)
+    def identity(S, count):
+        calls.append(type(S))
+        return np.stack([np.eye(S.ambient.total_dim, dtype=complex)] * count)
     monkeypatch.setattr(algebra, "_generic_elements", identity)
     G = fans_relation()
     _, ch = random_circuit_unitary(G, seed=0)
@@ -378,7 +386,7 @@ def test_degenerate_generic_draw_never_succeeds(monkeypatch, pair_too):
         _, report = decompose(ch, G, seed=0)
     except NumericsError:
         report = None
-    assert calls
+    assert algebra.RowImage in calls  # the images draw through the seam
     assert report is None or report.status != "Success"
 
 

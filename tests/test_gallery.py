@@ -241,6 +241,20 @@ def test_obstruction_witness_reduces_from_generic_elements(
     assert rows and max(rows) <= 512, rows
 
 
+def test_obstruction_witness_forms_no_image_basis(counterexample_c3,
+                                                 monkeypatch):
+    # the lemma reads both images from their rows: no d_beta^2 x D x D
+    # basis is formed at D = 128
+    import causaldeco.algebra
+
+    def refusing(self):
+        raise AssertionError("an image basis was formed")
+    monkeypatch.setattr(causaldeco.algebra.RowImage, "basis",
+                        property(refusing))
+    deco = obstruction_witness(counterexample_c3, C3)
+    assert deco.sectors == ((2, 2), (2, 2))
+
+
 def test_obstruction_witness_draws_each_algebra_once(counterexample_c3,
                                                      monkeypatch):
     # the commutation, support and factor checks and the reductions read
@@ -250,23 +264,23 @@ def test_obstruction_witness_draws_each_algebra_once(counterexample_c3,
     algebra = causaldeco.algebra
     fresh = algebra._generic_elements
     test_elements = algebra.MatrixSubalgebra.test_elements
-    bases, pairs = [], []
+    drawn, pairs = [], []
 
-    def drawing(basis, count):
-        bases.append(basis)
-        return fresh(basis, count)
+    def drawing(S, count):
+        drawn.append(S)
+        return fresh(S, count)
 
     def reading(self):
-        pairs.append((self.basis, test_elements(self)))
+        pairs.append((self, test_elements(self)))
         return pairs[-1][1]
     monkeypatch.setattr(algebra, "_generic_elements", drawing)
     monkeypatch.setattr(algebra.MatrixSubalgebra, "test_elements", reading)
     deco = obstruction_witness(counterexample_c3, C3)
     assert deco.sectors == ((2, 2), (2, 2))
-    assert bases and len(pairs) > len(bases)
-    assert all(sum(b is basis for b in bases) == 1 for basis in bases)
-    for basis, pair in pairs:
-        assert np.array_equal(pair, fresh(basis, 2))
+    assert drawn and len(pairs) > len(drawn)
+    assert all(sum(s is S for s in drawn) == 1 for S in drawn)
+    for S, pair in pairs:
+        assert np.array_equal(pair, fresh(S, 2))
         assert not pair.flags.writeable
 
 

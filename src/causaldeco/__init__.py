@@ -30,7 +30,7 @@ _EXPORTS = {
         shape_from_json""",
     "tensorspace": "TensorSpace",
     "algebra": """MatrixSubalgebra commutant centre sectorize
-        SectorDecomposition SectorObstruction LemmaSplit algebraic_lemma""",
+        SectorDecomposition algebraic_lemma""",
     "causal": """UnitaryChannel influences causal_structure
         causal_structure_report CausalReport heisenberg_image
         no_influence_choi_oracle atomicity_check unitary_to_json
@@ -39,7 +39,7 @@ _EXPORTS = {
         circuit_to_json circuit_from_json load_circuit""",
     "gallery": "u3 loose_wires_c3 build_counterexample obstruction_witness",
     "decompose": """decompose verify_decomposition DecompositionReport
-        SUCCESS REFUSED_C3EP REFUSED_CAUSAL OBSTRUCTION FAILED""",
+        SUCCESS REFUSED_C3EP REFUSED_CAUSAL FAILED""",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}

@@ -28,12 +28,13 @@ falls back to the centre otherwise.  Minimal central
 projectors and the Wedderburn form of a factor both read one spectral
 decomposition of a generic element.
 
-The gate-splitting step has one path.  algebraic_lemma and sectorize
-share the layout, commutation and support checks and the reductions
-onto the shared legs; the lemma adds the factor test and always runs
-the sector split.  Its success is the one-sector case whose reduction
-dimensions multiply to d_a^2, the spanning condition read from
-integers, so no joint closure is formed.
+The gate-splitting step has one path and one outcome.  algebraic_lemma
+and sectorize share the layout, commutation and support checks and the
+reductions onto the shared legs; the lemma adds the factor test.  Both
+return the sector split with its spanning verdict: one sector whose
+reduction dimensions multiply to d_a^2, read from integers, so no joint
+closure is formed.  The decomposer needs a spanning split to build a
+gate; the obstruction certificate needs at least two sectors.
 
 Determinism: every routine that draws random elements takes a seed and
 uses its own generator, so repeated runs give identical results.  The
@@ -617,13 +618,17 @@ class SectorDecomposition:
     i the compressed algebras split as a tensor product with per-sector
     leg dimensions ``sectors[i]`` (one entry per input algebra, the last
     absorbing leftover multiplicity).  ``iso`` maps the shared leg onto the
-    direct sum of those products.
+    direct sum of those products.  ``spans`` says whether the reductions
+    generate the shared leg's full matrix algebra: one sector (every
+    reduction has a trivial centre) and reduction dimensions multiplying
+    to d_a^2 (commuting factors generate their tensor product).
     """
 
     a_space: TensorSpace
     sectors: tuple[tuple[int, ...], ...]
     projectors: tuple[np.ndarray, ...]
     iso: UnitaryIso
+    spans: bool
 
     def __post_init__(self):
         d = self.a_space.total_dim
@@ -635,23 +640,6 @@ class SectorDecomposition:
     @property
     def n_sectors(self) -> int:
         return len(self.sectors)
-
-
-@dataclass
-class SectorObstruction:
-    """Returned when the spanning condition of the algebraic lemma fails:
-    the joint sector structure is incompatible with a single unitary gate."""
-
-    decomposition: SectorDecomposition
-    message: str
-
-
-@dataclass
-class LemmaSplit:
-    """Successful outcome of the algebraic lemma: a gate and leg dims."""
-
-    iso: UnitaryIso
-    leg_dims: tuple[int, ...]
 
 
 def _shared_leg_reductions(a_labels, x_legs, bs):
@@ -763,36 +751,24 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
         sector_dims.append(tuple(dims_i))
     v = _projected_unitary(np.concatenate(rows))
     iso = UnitaryIso(v, a_space, TensorSpace((("sectors", d_a),)))
+    spans = (len(sector_dims) == 1
+             and math.prod(r.dim for r in reduced) == d_a * d_a)
     return SectorDecomposition(a_space, tuple(sector_dims),
-                               tuple(projectors), iso)
+                               tuple(projectors), iso, spans)
 
 
-def algebraic_lemma(a_labels, x_legs, bs, seed=0):
-    """Split a shared leg along commuting factor algebras, or report why not.
+def algebraic_lemma(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
+    """Split a shared leg along commuting factor algebras.
 
     Hypotheses checked: the B_k commute pairwise, each is a factor, and
-    each is supported on the shared legs plus its own X legs.  The
-    reductions of the B_k onto the shared legs always go through the
-    sector split.  They span the shared leg's full matrix algebra
-    exactly when there is one sector (every reduction has a trivial
-    centre) and their dimensions multiply to d_a^2 (commuting factors
-    generate their tensor product).  Then the result is a LemmaSplit:
-    the sector unitary, under which the k-th reduction becomes the
-    algebra of leg z_k (the last leg absorbing remaining multiplicity).
-    Otherwise it is a SectorObstruction carrying the sector split.
+    each is supported on the shared legs plus its own X legs.  Returns
+    the sector split of their reductions onto the shared legs.  When it
+    spans, its iso carries the shared leg onto one sector whose k-th
+    leg (the last absorbing remaining multiplicity) holds the k-th
+    reduction; otherwise its sectors are the obstruction.
     """
     a_space, reduced = _shared_leg_reductions(a_labels, x_legs, bs)
     for k, b in enumerate(bs):
         if not is_factor(b):
             raise NumericsError(f"algebra {k} is not a factor")
-    sec = _sectors_of_reductions(a_space, reduced, seed)
-    d_a = a_space.total_dim
-    span = math.prod(r.dim for r in reduced)
-    if sec.n_sectors == 1 and span == d_a * d_a:
-        dims = sec.sectors[0]
-        legs = TensorSpace(tuple((f"z{k + 1}", d) for k, d in enumerate(dims)))
-        return LemmaSplit(UnitaryIso(sec.iso.matrix, a_space, legs), dims)
-    return SectorObstruction(
-        sec,
-        f"{sec.n_sectors} joint sector(s) with reduction dimensions "
-        f"multiplying to {span}; spanning needs one sector and {d_a * d_a}")
+    return _sectors_of_reductions(a_space, reduced, seed)

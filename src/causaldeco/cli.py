@@ -154,9 +154,6 @@ def _report_data(report, padded=None, out=None) -> dict:
         data["witness"] = report.witness.as_dict()
     if report.extra_pair is not None:
         data["extra_pair"] = list(report.extra_pair)
-    if report.obstruction is not None:
-        data["obstruction_node"] = report.obstruction_node
-        data["sectors"] = [list(s) for s in report.obstruction.sectors]
     if report.recomposition_residual is not None:
         data["residual"] = float(report.recomposition_residual)
         data["gates_unitary"] = bool(report.gates_unitary)
@@ -188,10 +185,6 @@ def _print_report(report, as_json, padded=None, out=None):
     if report.extra_pair is not None:
         a, b = report.extra_pair
         print(f"influence outside the relation: {a} -> {b}")
-    if report.obstruction is not None:
-        dims = ", ".join(str(tuple(s)) for s in report.obstruction.sectors)
-        print(f"obstruction at node {report.obstruction_node}: "
-              f"{report.obstruction.n_sectors} sectors with leg dims {dims}")
     if report.recomposition_residual is not None:
         print(f"recomposition residual: {report.recomposition_residual:.3e}")
         print(f"gates unitary: {'yes' if report.gates_unitary else 'no'}")
@@ -217,15 +210,15 @@ def cmd_decompose(args) -> int:
         G, padded = _pad_to_c3ep(G)
     circuit, report = decompose(U, G, seed=args.seed, tol=args.tol)
     out = None
-    if circuit is not None and args.out:
+    if report.status == SUCCESS and args.out:
         with open(args.out, "w") as fh:
             fh.write(circuit_to_json(circuit))
         out = args.out
     _print_report(report, args.json, padded=padded, out=out)
     if report.status == SUCCESS:
         return 0
-    # refusals and obstructions carry their evidence in the report;
-    # only a Failed verification is a numerical breakdown
+    # refusals carry their evidence in the report; a Failed
+    # verification is a numerical breakdown
     return 3 if report.status == FAILED else 1
 
 
@@ -269,7 +262,7 @@ def cmd_roundtrip(args) -> int:
         _, U = random_circuit_unitary(shape, seed=s, **kwargs)
         try:
             _, report = decompose(U, G, seed=s)
-            # a refusal or an obstruction returns no circuit to measure
+            # a refusal returns no circuit to measure
             residual = report.recomposition_residual
             rows.append({"trial": t, "seed": s, "status": report.status,
                          "residual": None if residual is None

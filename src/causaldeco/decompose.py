@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SectorDecomposition, SectorObstruction, \
-    _projected_unitary, algebraic_lemma, dagger, matrix_units
+from .algebra import UnitaryIso, _projected_unitary, algebraic_lemma, \
+    dagger, matrix_units
 from .causal import UnitaryChannel, causal_structure, heisenberg_image
 from .circuits import Circuit, compose_frame, compose_matrix, \
     fix_gate_phase, gate_legs
@@ -26,11 +26,11 @@ from .errors import InputError, NumericsError, check_tol
 from .lattice import build_concept_lattice, connectivity
 from .policy import INCLUSION_TOL, RECOMPOSE_TOL
 from .relations import C3Witness, Relation, check_c3ep
+from .tensorspace import TensorSpace
 
 SUCCESS = "Success"
 REFUSED_C3EP = "RefusedC3EP"
 REFUSED_CAUSAL = "RefusedCausal"
-OBSTRUCTION = "Obstruction"
 FAILED = "Failed"
 
 
@@ -49,17 +49,14 @@ class DecompositionReport:
     """Outcome of decompose or verify_decomposition.
 
     status is Success, RefusedC3EP (witness set), RefusedCausal
-    (extra_pair set), Obstruction (obstruction and obstruction_node
-    set), or Failed (verification checks did not pass).  Success
-    implies the residual is below tolerance, every gate is unitary and
-    the connectivity is contained in the relation.
+    (extra_pair set), or Failed (verification checks did not pass).
+    Success implies the residual is below tolerance, every gate is
+    unitary and the connectivity is contained in the relation.
     """
 
     status: str
     witness: C3Witness | None = None
     extra_pair: tuple | None = None
-    obstruction: SectorDecomposition | None = None
-    obstruction_node: int | None = None
     recomposition_residual: float | None = None
     connectivity_ok: bool | None = None
     gates_unitary: bool | None = None
@@ -149,11 +146,11 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
 
     Returns (circuit, report).  Refusals return (None, report) with
     status RefusedC3EP (G fails the exclusion property) or
-    RefusedCausal (U has an influence outside G); an Obstruction status
-    (also circuit-less) reports a multi-sector split, which the theory
-    rules out under the preconditions, so it signals numerical trouble.
-    Internal consistency failures raise NumericsError.  tol sets the
-    residual acceptance threshold of the final verification.
+    RefusedCausal (U has an influence outside G).  Internal consistency
+    failures raise NumericsError, among them a gate-splitting lemma
+    whose split does not span a node's local legs, which the theory
+    rules out once both checks pass.  tol sets the residual acceptance
+    threshold of the final verification.
     """
     check_tol(tol)
     if set(U.in_space.labels) != set(G.inputs) \
@@ -218,11 +215,12 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
                 f"node {v} carries dimension {local_dim} but has no "
                 "outputs above it")
         got = algebraic_lemma(gin, x_legs, bs, seed=seed)
-        if isinstance(got, SectorObstruction):
-            return None, DecompositionReport(
-                status=OBSTRUCTION, obstruction=got.decomposition,
-                obstruction_node=v, per_node_diagnostics=tuple(diags))
-        dims = got.leg_dims
+        if not got.spans:
+            raise NumericsError(
+                f"gate-splitting lemma at node {v} found {got.n_sectors} "
+                f"sector(s) with leg dims {got.sectors}, not one spanning "
+                "the local legs")
+        dims = got.sectors[0]
         for b, d in zip(outs_here, dims[n_covers:]):
             if d != out_dims[b]:
                 raise NumericsError(
@@ -231,8 +229,9 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
         wire_dims.update(((v, w), d) for w, d in zip(live, dims))
         # the gate's output legs are z1..zn, live wires first; realized
         # wires must lie inside the images they were cut from
-        iso = got.iso
-        legs = iso.codomain.labels
+        legs = tuple(f"z{k + 1}" for k in range(len(dims)))
+        iso = UnitaryIso(got.iso.matrix, got.a_space,
+                         TensorSpace(tuple(zip(legs, dims))))
         resids = [_inclusion_residuals(bs[k], frame, gin, iso, legs[k])
                   for k in range(n_covers)]
         # np.max keeps a NaN, which the builtin max can drop

@@ -8,7 +8,7 @@ gates, seeded companions), so tests can pin matrices literally.
 
 import numpy as np
 
-from .algebra import SectorObstruction, algebraic_lemma
+from .algebra import algebraic_lemma
 from .causal import UnitaryChannel, causal_structure, heisenberg_image
 from .circuits import Circuit, compose, random_circuit_unitary
 from .errors import InputError, NumericsError
@@ -178,8 +178,8 @@ def obstruction_witness(U: UnitaryChannel, G: Relation, seed: int = 0):
     keeps every pair except role-1 -> role-3 and role-3 -> role-1, and
     runs the gate-splitting step at the bottom node of that constraint's
     canonical shape, feeding it the Heisenberg images of the two covers'
-    exclusive outputs.  The spanning step must fail; the joint sector
-    decomposition it leaves behind is returned as the certificate.
+    exclusive outputs.  Its joint sector decomposition, which must have
+    at least two sectors, is returned as the certificate.
 
     U's legs must carry exactly G's labels, and U must actually have the
     witness's two no-influence pairs (otherwise the support checks abort
@@ -219,12 +219,9 @@ def obstruction_witness(U: UnitaryChannel, G: Relation, seed: int = 0):
                  sorted(outs_above[1] - outs_above[0])]
     bs = [heisenberg_image(grouped, e) for e in exclusive]
     x_legs = [shape.inputs_at(v) for v in covers]
-    got = algebraic_lemma(shape.inputs_at(v0), x_legs, bs, seed=seed)
-    if not isinstance(got, SectorObstruction):
+    deco = algebraic_lemma(shape.inputs_at(v0), x_legs, bs, seed=seed)
+    if deco.n_sectors < 2:
         raise NumericsError(
             "bottom-node algebras span a single sector; the channel does "
             "not witness the obstruction")
-    deco = got.decomposition
-    if deco.n_sectors < 2:
-        raise NumericsError("obstruction carries fewer than two sectors")
     return deco

@@ -18,9 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import causaldeco.algebra as algebra_module
 from causaldeco.algebra import (
-    LemmaSplit,
     MatrixSubalgebra,
-    SectorObstruction,
     UnitaryIso,
     _sectors_of_reductions,
     algebra_closure,
@@ -395,12 +393,18 @@ def _diagonal_pair_setup():
 def test_sectorize_diagonal_pair():
     amb, b1, b2 = _diagonal_pair_setup()
     sec = sectorize(["a"], [["x1"], ["x2"]], [b1, b2], seed=0)
-    assert sec.n_sectors == 2
+    assert sec.n_sectors == 2 and not sec.spans
     assert sec.sectors == ((1, 1), (1, 1))
     ranks = sorted(int(round(np.real(np.trace(p)))) for p in sec.projectors)
     assert ranks == [1, 1]
     total = sum(sec.projectors)
     assert np.allclose(total, np.eye(2), atol=1e-9)
+
+
+def _split_iso(out):
+    """A spanning split's iso, its one sector cut into legs z1..zn."""
+    return UnitaryIso(out.iso.matrix, out.a_space, TensorSpace(tuple(
+        (f"z{k + 1}", d) for k, d in enumerate(out.sectors[0]))))
 
 
 def test_algebraic_lemma_success():
@@ -416,12 +420,13 @@ def test_algebraic_lemma_success():
     b1 = algebra_closure(amb, g1)
     b2 = algebra_closure(amb, g2)
     out = algebraic_lemma(["a"], [["x1"], []], [b1, b2], seed=0)
-    assert isinstance(out, LemmaSplit)
-    assert out.leg_dims == (2, 2)
-    cod = out.iso.codomain
+    assert out.spans
+    assert out.sectors == ((2, 2),)
+    iso = _split_iso(out)
+    cod = iso.codomain
     for g in g1:
         small, _ = amb.restrict(g, ["a"])
-        _, resid = cod.restrict(out.iso.conj(small), [cod.labels[0]])
+        _, resid = cod.restrict(iso.conj(small), [cod.labels[0]])
         assert resid < 1e-8
 
 
@@ -436,9 +441,8 @@ def test_algebraic_lemma_obstruction():
           for x in ("x1", "x2")]
     assert all(b.dim == 4 and is_factor(b) for b in bs)
     out = algebraic_lemma(["a"], [["x1"], ["x2"]], bs, seed=0)
-    assert isinstance(out, SectorObstruction)
-    assert out.decomposition.n_sectors == 2
-    assert "sector" in out.message
+    assert not out.spans
+    assert out.n_sectors == 2
     # the commutative pair span{1, Z_a X_xk} breaks the factor hypothesis
     _, b1, b2 = _diagonal_pair_setup()
     with pytest.raises(NumericsError, match="not a factor"):
@@ -492,9 +496,9 @@ def test_algebraic_lemma_one_sector_short_of_spanning():
                                            np.eye(2)) @ dagger(w)
                                for e in matrix_units(2)])
     out = algebraic_lemma(["a"], [[], []], [b1, b2], seed=0)
-    assert isinstance(out, SectorObstruction)
-    assert out.decomposition.n_sectors == 1
-    assert out.decomposition.sectors == ((2, 4),)
+    assert not out.spans
+    assert out.n_sectors == 1
+    assert out.sectors == ((2, 4),)
 
 
 @st.composite
@@ -541,16 +545,17 @@ def test_algebraic_lemma_splits_exactly_when_reductions_span(case):
     spans = algebra_closure(
         a_space, [g for red in reduced for g in red.basis]).dim == d_a ** 2
     out = algebraic_lemma(["a"], [["x1"], ["x2"]], bs, seed=seed % 97)
-    assert isinstance(out, LemmaSplit) == spans
+    assert out.spans == spans
     if spans:
-        assert out.leg_dims == (d1, d2)
-        cod = out.iso.codomain
+        assert out.sectors == ((d1, d2),)
+        iso = _split_iso(out)
+        cod = iso.codomain
         for k, red in enumerate(reduced):
             for g in red.basis:
-                _, resid = cod.restrict(out.iso.conj(g), [cod.labels[k]])
+                _, resid = cod.restrict(iso.conj(g), [cod.labels[k]])
                 assert resid < 1e-8
     else:
-        assert out.decomposition.n_sectors == (2 if any(signs) else 1)
+        assert out.n_sectors == (2 if any(signs) else 1)
 
 
 
@@ -1048,7 +1053,7 @@ def test_one_bad_generic_element_refused_by_the_lemma(monkeypatch, bad):
     bs = [MatrixSubalgebra.on_legs(amb, legs)
           for legs in (["a1", "x1"], ["a2", "x2"])]
     x_legs = [["x1"], ["x2"]]
-    assert isinstance(algebraic_lemma(["a1", "a2"], x_legs, bs), LemmaSplit)
+    assert algebraic_lemma(["a1", "a2"], x_legs, bs).spans
     pairs = {id(b): np.array(b.test_elements()) for b in bs}
     monkeypatch.setattr(MatrixSubalgebra, "test_elements",
                         lambda self: pairs[id(self)])

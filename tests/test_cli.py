@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -538,6 +539,74 @@ def test_decompose_refused_causal(tmp_path, capsys):
     assert data["extra_pair"] == ["a1", "b2"]
 
 
+def force_sector_split(monkeypatch):
+    """Cut the gate-splitting lemma's one sector in two inside decompose,
+    as a numerical fault would; the sector dims read ((d - 1,), (1,))."""
+    module = sys.modules["causaldeco.decompose"]
+    lemma = module.algebraic_lemma
+
+    def forced(a_labels, x_legs, bs, seed=0):
+        got = lemma(a_labels, x_legs, bs, seed=seed)
+        d = got.a_space.total_dim
+        return dataclasses.replace(got, sectors=((d - 1,), (1,)),
+                                   spans=False)
+    # patch the module object from sys.modules: the package re-exports
+    # a function named decompose that shadows the submodule attribute
+    monkeypatch.setattr(module, "algebraic_lemma", forced)
+
+
+def force_extra_pair(monkeypatch):
+    """Make decompose measure one influence a1 -> b2 outside chain2."""
+    module = sys.modules["causaldeco.decompose"]
+    structure = module.causal_structure
+
+    def forced(U):
+        got = structure(U)
+        return dataclasses.replace(got, pairs=got.pairs | {("a1", "b2")})
+    monkeypatch.setattr(module, "causal_structure", forced)
+
+
+SPLIT_MESSAGE = ("numerical failure: gate-splitting lemma at node 0 found "
+                 "2 sector(s) with leg dims ((3,), (1,)), not one spanning "
+                 "the local legs")
+
+
+@pytest.mark.parametrize("case, code", [
+    ("Success", 0), ("RefusedC3EP", 1), ("RefusedCausal", 1),
+    ("Failed", 3), ("split", 3)])
+def test_decompose_exit_codes(tmp_path, capsys, monkeypatch, case, code):
+    # 0 success, 1 principled refusal with certificate, 3 numerical
+    # failure: a sector split inside decompose is an internal fault
+    rel, uf = chain2_files(tmp_path)
+    if case == "RefusedC3EP":
+        rel = write_relation(tmp_path / "c3.json", c3_relation())
+        uf = write_unitary(tmp_path / "u3.json", u3())
+    elif case == "RefusedCausal":
+        force_extra_pair(monkeypatch)
+    elif case == "split":
+        force_sector_split(monkeypatch)
+    argv = ["decompose", uf, rel, "--json"]
+    assert main(argv + (["--tol=0"] if case == "Failed" else [])) == code
+    captured = capsys.readouterr()
+    if case == "split":
+        assert captured.out == ""
+        assert captured.err.splitlines() == [SPLIT_MESSAGE]
+    else:
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["status"] == case
+
+
+def test_decompose_writes_no_circuit_that_failed_verification(tmp_path,
+                                                              capsys):
+    rel, uf = chain2_files(tmp_path)
+    cf = tmp_path / "circ.json"
+    assert main(["decompose", uf, rel, "--tol", "0", "--out", str(cf)]) == 3
+    out = capsys.readouterr().out
+    assert "status: Failed" in out
+    assert "circuit written" not in out
+    assert not cf.exists()
+
+
 # -- roundtrip -----------------------------------------------------------
 
 
@@ -566,14 +635,9 @@ def test_roundtrip_other_base_dim(tmp_path, capsys):
 @pytest.mark.parametrize("json_out", [False, True])
 def test_roundtrip_reports_circuitless_trial(tmp_path, capsys, monkeypatch,
                                              json_out):
-    # an obstruction returns no circuit, so the trial has no residual;
-    # it fails as a row, and the run exits 3, not with a traceback
-    from causaldeco.algebra import SectorObstruction
-
-    def forced(a_labels, x_legs, bs, seed=0):
-        return SectorObstruction(None, "forced")
-    monkeypatch.setattr(sys.modules["causaldeco.decompose"],
-                        "algebraic_lemma", forced)
+    # a refusal returns no circuit, so the trial has no residual; it
+    # fails as a row, and the run exits 3, not with a traceback
+    force_extra_pair(monkeypatch)
     rel = write_relation(tmp_path / "chain2.json", chain2_relation())
     argv = ["roundtrip", rel, "--trials", "1"] + (["--json"] if json_out
                                                   else [])
@@ -584,11 +648,31 @@ def test_roundtrip_reports_circuitless_trial(tmp_path, capsys, monkeypatch,
         data = json.loads(captured.out)
         assert data["passes"] == 0
         assert data["rows"] == [{"trial": 0, "seed": 0,
-                                 "status": "Obstruction", "residual": None,
+                                 "status": "RefusedCausal", "residual": None,
                                  "pass": False}]
     else:
         assert captured.out.splitlines() == [
-            "trial 0: fail (Obstruction)", "0/1 pass"]
+            "trial 0: fail (RefusedCausal)", "0/1 pass"]
+
+
+@pytest.mark.parametrize("json_out", [False, True])
+def test_roundtrip_reports_split_as_error_row(tmp_path, capsys, monkeypatch,
+                                              json_out):
+    force_sector_split(monkeypatch)
+    rel = write_relation(tmp_path / "chain2.json", chain2_relation())
+    argv = ["roundtrip", rel, "--trials", "1"] + (["--json"] if json_out
+                                                  else [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = SPLIT_MESSAGE.removeprefix("numerical failure: ")
+    if json_out:
+        assert json.loads(captured.out)["rows"] == [
+            {"trial": 0, "seed": 0, "status": "error", "error": error,
+             "pass": False}]
+    else:
+        assert captured.out.splitlines() == [
+            f"trial 0: fail ({error})", "0/1 pass"]
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from causaldeco.algebra import SectorObstruction
 from causaldeco.causal import UnitaryChannel, causal_structure
 from causaldeco.circuits import (Circuit, compose_matrix,
                                  random_circuit_unitary, uniform_dims)
@@ -18,6 +17,7 @@ from causaldeco.relations import Relation, c3_relation, fan_in_relation, \
 from causaldeco.tensorspace import TensorSpace
 
 from test_causal import relation_circuits
+from test_cli import SPLIT_MESSAGE, force_sector_split
 from test_circuits import classical_copy_c3_circuit, u3_matrix
 
 
@@ -454,24 +454,16 @@ def test_label_mismatch_is_input_error():
         decompose(u3(), chain2_relation())
 
 
-def test_obstruction_status_reported(monkeypatch):
-    sentinel = object()
-
-    def forced(a_labels, x_legs, bs, seed=0):
-        return SectorObstruction(sentinel, "forced")
-
-    # patch the module object from sys.modules: the package re-exports
-    # a function named decompose that shadows the submodule attribute
-    import sys
-    monkeypatch.setattr(sys.modules["causaldeco.decompose"],
-                        "algebraic_lemma", forced)
+def test_sector_split_is_a_numerical_failure(monkeypatch):
+    # under C3EP and a structure inside G the theory rules out a
+    # non-spanning split, so it is an internal fault, not a refusal
+    force_sector_split(monkeypatch)
     G = chain2_relation()
     _, ch = random_circuit_unitary(G, seed=3)
-    circuit, report = decompose(ch, G)
-    assert circuit is None
-    assert report.status == "Obstruction"
-    assert report.obstruction is sentinel
-    assert report.obstruction_node == 0
+    with pytest.raises(NumericsError) as exc:
+        decompose(ch, G)
+    assert str(exc.value) == SPLIT_MESSAGE.removeprefix(
+        "numerical failure: ")
 
 
 def _reference_input(relation, base):

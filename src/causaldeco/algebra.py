@@ -24,17 +24,21 @@ with no Schmidt SVD and no double commutant.  heisenberg_image's
 RowImage holds W^dag(M_d x 1)W as the rows W of a unitary and forms its
 matrix-unit basis only when read.  The factor test reads an algebra of
 n^2 elements as a copy of M_n in that layout, through combine, and
-falls back to the centre otherwise.  Minimal central
-projectors and the Wedderburn form of a factor both read one spectral
-decomposition of a generic element.
+falls back to the centre otherwise.  One spectral split, the eigenvector
+blocks of a generic element clustered by eigenvalue, is the only
+eigendecomposition: it gives minimal central projectors, the sectors,
+and the Wedderburn form of a factor, whose blocks are its rows.
 
 The gate-splitting step has one path and one outcome.  algebraic_lemma
 and sectorize share the layout, commutation and support checks and the
-reductions onto the shared legs; the lemma adds the factor test.  Both
-return the sector split with its spanning verdict: one sector whose
-reduction dimensions multiply to d_a^2, read from integers, so no joint
-closure is formed.  The decomposer needs a spanning split to build a
-gate; the obstruction certificate needs at least two sectors.
+reductions onto the shared legs; the lemma adds the factor test.  The
+sectors are the blocks of the commutative algebra J that the
+reductions' centres generate; when every centre is the scalars, J is
+too, read from integers.  Both return the sector split with its
+spanning verdict: one sector whose reduction dimensions multiply to
+d_a^2, read from integers, so no joint closure is formed.  The
+decomposer needs a spanning split to build a gate; the obstruction
+certificate needs at least two sectors.
 
 Determinism: every routine that draws random elements takes a seed and
 uses its own generator, so repeated runs give identical results.  The
@@ -75,8 +79,7 @@ import numpy as np
 from .errors import InputError, NumericsError
 from .policy import (CLUSTER_REL, COMM_REL_TOL, COMMUTANT_DIM_CAP,
                      GENERIC_RESIDUAL_TOL, ISO_UNITARITY_TOL,
-                     ISOMETRY_RANK_REL, PROJECTOR_CLEANUP_TOL, RESIDUAL_TOL,
-                     SVD_RANK_REL)
+                     ISOMETRY_RANK_REL, RESIDUAL_TOL, SVD_RANK_REL)
 from .tensorspace import (TensorSpace, _relative_norm, dagger,
                           require_finite, unitarity_residual)
 
@@ -366,22 +369,31 @@ def _generic_elements(S: MatrixSubalgebra, count) -> np.ndarray:
     return _random_hermitians(S, np.random.default_rng(_GENERIC_SEED), count)
 
 
-def _spectral_projectors(S: MatrixSubalgebra, rng, count):
-    """Spectral projectors of a generic Hermitian element of S.
+def _spectral_blocks(S: MatrixSubalgebra, rng, count, what):
+    """Eigenvector blocks q of a generic Hermitian element of S, one per
+    cluster of its spectrum, and their spectral projectors q q^dag.
 
     Takes the first of up to four draws whose clustered spectrum has
-    ``count`` clusters, each with its spectral projector inside S;
-    returns None when no draw does.
+    ``count`` clusters, each with its spectral projector inside S, and
+    raises NumericsError naming ``what`` when no draw does.  The scalars
+    are decided by S.dim alone, their one block the identity: clusters
+    cut relative to the spread, so a scalar spectrum splits at roundoff.
     """
+    if S.dim == 1:
+        eye = np.eye(S.ambient.total_dim, dtype=complex)[None]
+        return eye, eye
     for _ in range(4):
-        vals, vecs = np.linalg.eigh(_random_hermitians(S, rng, 1)[0])
+        h = _random_hermitians(S, rng, 1)[0]
+        require_finite(h, "a spectral split")
+        vals, vecs = np.linalg.eigh(h)
         clusters = _cluster_sorted(vals)
         if len(clusters) != count:
             continue
-        projs = np.stack([vecs[:, c] @ dagger(vecs[:, c]) for c in clusters])
+        blocks = [vecs[:, c] for c in clusters]
+        projs = np.stack([q @ dagger(q) for q in blocks])
         if S.contains(projs, GENERIC_RESIDUAL_TOL):
-            return projs
-    return None
+            return blocks, projs
+    raise NumericsError(f"could not isolate {what} after 3 redraws")
 
 
 def minimal_central_projectors(S: MatrixSubalgebra, seed=0):
@@ -392,13 +404,8 @@ def minimal_central_projectors(S: MatrixSubalgebra, seed=0):
     to three redraws; failure past that raises.
     """
     Z = centre(S)
-    if Z.dim == 1:
-        return [np.eye(S.ambient.total_dim)]
-    projs = _spectral_projectors(Z, np.random.default_rng(seed), Z.dim)
-    if projs is None:
-        raise NumericsError(
-            "could not isolate minimal central projectors after 3 redraws")
-    return projs
+    return _spectral_blocks(Z, np.random.default_rng(seed), Z.dim,
+                            "minimal central projectors")[1]
 
 
 @dataclass
@@ -440,13 +447,13 @@ def factorize_factor(B: MatrixSubalgebra, seed=0):
 
     Returns (iso, d, m) where d^2 is the dimension of B and m the
     multiplicity; the codomain legs are f (dim d) and c (dim m).
-    Construction: spectral projectors of a generic Hermitian element
-    give the d minimal projectors; polar parts of p_i s p_1 for a
-    generic s in B give connecting partial isometries; rows of V are the
-    vectors u_i f_mu over an orthonormal basis f of the first
-    projector's range.  Verified by conjugating bases both
-    ways, which also proves B is a factor; a non-factor raises
-    NumericsError.
+    Construction: the spectrum of a generic Hermitian element of B has
+    d clusters whose eigenvector blocks q_i (D x m) span the ranges of
+    the d minimal projectors.  For a generic s in B the polar part w_i
+    of the m x m matrix q_i^dag s q_1 connects block 1 to block i, so
+    row i m + mu of V is (q_i w_i)_mu^dag, with w_1 = 1: f = q_1 is the
+    first range's basis.  Verified by conjugating bases both ways,
+    which also proves B is a factor; a non-factor raises NumericsError.
     """
     ambient = B.ambient
     D = ambient.total_dim
@@ -462,29 +469,22 @@ def factorize_factor(B: MatrixSubalgebra, seed=0):
         return UnitaryIso(np.eye(D), ambient, codomain), 1, D
     rng = np.random.default_rng(seed)
     # projectors in M_d x 1_m have ranks divisible by m, so d of them
-    # that resolve the identity have rank m each
-    projs = _spectral_projectors(B, rng, d)
-    if projs is None:
-        raise NumericsError(
-            "could not split a generic spectral decomposition into "
-            f"{d} clusters of multiplicity {m}")
-
+    # that resolve the identity are blocks of m columns each
+    blocks, _ = _spectral_blocks(B, rng, d, f"{d} spectral clusters")
+    f, qs = blocks[0], np.stack(blocks[1:])
     for _ in range(4):
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         s = np.tensordot(c, B.basis, axes=(0, 0))
-        q = np.stack(projs[1:]) @ s @ projs[0]
-        require_finite(q, "a connecting partial isometry")
-        uu, sv, vv = np.linalg.svd(q)
+        t = dagger(qs) @ (s @ f)
+        require_finite(t, "a connecting partial isometry")
+        uu, sv, vv = np.linalg.svd(t)
         if np.all(sv[:, m - 1] > ISOMETRY_RANK_REL * sv[:, 0]):
             break
     else:
         raise NumericsError("connecting partial isometries degenerate "
                             "after 3 redraws")
-    isometries = np.concatenate([projs[:1], uu[:, :, :m] @ vv[:, :m, :]])
-
-    f = np.linalg.eigh(projs[0])[1][:, -m:]
-    # row i m + mu of V is (u_i f_mu)^dag
-    v = _projected_unitary(dagger(isometries @ f).reshape(D, D))
+    v = _projected_unitary(dagger(np.concatenate(
+        [f[None], qs @ uu @ vv])).reshape(D, D))
     iso = UnitaryIso(v, ambient, codomain)
 
     # Verify both directions of the claimed form.
@@ -516,11 +516,11 @@ def _check_pairwise_commuting(tests):
                                 f"(relative commutator {c:.2e})")
 
 
-def split_commuting_factors(bs, ambient: TensorSpace | None = None, seed=0):
+def split_commuting_factors(bs, seed=0):
     """Simultaneous tensor split of pairwise commuting factors.
 
-    Produces a unitary iso V from the common ambient onto a product of
-    legs z1 x ... x zn such that V B_k V^dag acts on leg k alone.  The
+    Produces a unitary iso V from the first one's ambient onto a product
+    of legs z1 x ... x zn such that V B_k V^dag acts on leg k alone.  The
     first n-1 legs have the dimensions of their factors; the last leg
     absorbs whatever multiplicity remains, so it contains (and under a
     spanning hypothesis equals) the image of B_n.
@@ -532,8 +532,7 @@ def split_commuting_factors(bs, ambient: TensorSpace | None = None, seed=0):
     bs = list(bs)
     if not bs:
         raise InputError("need at least one algebra to split")
-    if ambient is None:
-        ambient = bs[0].ambient
+    ambient = bs[0].ambient
     for b in bs:
         if b.ambient.total_dim != ambient.total_dim:
             raise InputError("algebras live on different ambient dimensions")
@@ -614,11 +613,12 @@ def reduce_onto_legs(B: MatrixSubalgebra, target_labels) -> MatrixSubalgebra:
 class SectorDecomposition:
     """Joint sector structure of commuting algebras on a shared leg.
 
-    ``projectors`` resolve the identity of the shared leg; within sector
-    i the compressed algebras split as a tensor product with per-sector
-    leg dimensions ``sectors[i]`` (one entry per input algebra, the last
-    absorbing leftover multiplicity).  ``iso`` maps the shared leg onto the
-    direct sum of those products.  ``spans`` says whether the reductions
+    ``projectors``, spectral projectors of one Hermitian element, resolve
+    the identity of the shared leg; within sector i the compressed
+    algebras split as a tensor product with per-sector leg dimensions
+    ``sectors[i]`` (one entry per input algebra, the last absorbing
+    leftover multiplicity).  ``iso`` maps the shared leg onto the direct
+    sum of those products.  ``spans`` says whether the reductions
     generate the shared leg's full matrix algebra: one sector (every
     reduction has a trivial centre) and reduction dimensions multiplying
     to d_a^2 (commuting factors generate their tensor product).
@@ -629,13 +629,6 @@ class SectorDecomposition:
     projectors: tuple[np.ndarray, ...]
     iso: UnitaryIso
     spans: bool
-
-    def __post_init__(self):
-        d = self.a_space.total_dim
-        if sum(math.prod(legs) for legs in self.sectors) != d:
-            raise NumericsError(
-                f"sector dimensions {self.sectors} do not resolve the "
-                f"shared leg dimension {d}")
 
     @property
     def n_sectors(self) -> int:
@@ -690,9 +683,10 @@ def sectorize(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
 
     Each B_k must commute with the others and be supported on the shared
     legs plus its private X legs.  The reductions of the B_k onto the
-    shared legs commute; products of their minimal central projectors cut
-    the shared leg into sectors, and inside every sector the compressed
-    reductions are factors that split simultaneously.
+    shared legs commute; the minimal projectors of the algebra their
+    centres generate cut the shared leg into sectors, and inside every
+    sector the compressed reductions are factors that split
+    simultaneously.
     """
     return _sectors_of_reductions(
         *_shared_leg_reductions(a_labels, x_legs, bs), seed)
@@ -700,53 +694,33 @@ def sectorize(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
 
 def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
     """The sector split of the reductions onto the shared legs of
-    algebras that passed _shared_leg_reductions' checks."""
+    algebras that passed _shared_leg_reductions' checks.
+
+    The reductions commute, so their centres generate a commutative
+    algebra J whose minimal projectors, the nonzero products of minimal
+    central ones, are the sectors.  A generic element of J shows J.dim
+    clusters; their eigenvector blocks q, orthonormal and resolving the
+    identity by construction, are the sector isometries.  With scalar
+    centres J is the scalars, read from integers: one sector, q = 1.
+    The reductions compressed by q are factors, split jointly.
+    """
     d_a = a_space.total_dim
     _check_pairwise_commuting([r.test_elements() for r in reduced])
+    gens = [z.basis for z in map(centre, reduced) if z.dim > 1]
+    J = (algebra_closure(a_space, np.concatenate(gens)) if gens
+         else MatrixSubalgebra.scalars(a_space))
     rng = np.random.default_rng(seed)
-    per_alg = [minimal_central_projectors(r, seed=int(rng.integers(0, 2**31)))
-               for r in reduced]
-
-    projectors = []
-    isometries = []
-    for combo in itertools.product(*per_alg):
-        p = functools.reduce(np.matmul, combo, np.eye(d_a, dtype=complex))
-        p = (p + dagger(p)) / 2.0
-        if np.linalg.norm(p) <= RESIDUAL_TOL * np.sqrt(d_a):
-            continue
-        # eigh raises LinAlgError on some NaN inputs and returns on others
-        require_finite(p, "a joint central product")
-        vals, vecs = np.linalg.eigh(p)
-        q = vecs[:, vals > 0.5]
-        if q.shape[1] == 0:
-            continue
-        p_clean = q @ dagger(q)
-        if not (np.linalg.norm(p_clean - p)
-                <= PROJECTOR_CLEANUP_TOL * np.sqrt(d_a)):
-            raise NumericsError("joint central product is far from a "
-                                "projector")
-        projectors.append(p_clean)
-        isometries.append(q)
-
-    # this gate also makes the projectors orthogonal: ranks that do not
-    # sum to d_a miss the identity by at least 1 / sqrt(d_a), and when
-    # they do, sum_{x != y} ||p_x p_y||_F^2 = ||sum_x p_x - 1||_F^2
-    total = sum(projectors)
-    if not np.linalg.norm(total - np.eye(d_a)) <= RESIDUAL_TOL * np.sqrt(d_a):
-        raise NumericsError("sector projectors do not resolve the identity")
-
-    rows = []
-    sector_dims = []
-    for q in isometries:
+    blocks, projectors = _spectral_blocks(J, rng, J.dim,
+                                          f"{J.dim} sectors")
+    rows, sector_dims = [], []
+    for q in blocks:
         sec_space = TensorSpace((("s", q.shape[1]),))
-        comp = []
-        for alg in reduced:
-            cb = dagger(q) @ alg.basis @ q
-            if q.shape[1] < d_a:  # a unitary q keeps the basis orthonormal
-                cb = orthonormalize(cb)
-            comp.append(MatrixSubalgebra(sec_space, cb))
+        # the one sector of a scalar J is the identity, compressing nothing
+        comp = [alg.basis if q.shape[1] == d_a else
+                orthonormalize(dagger(q) @ alg.basis @ q) for alg in reduced]
         iso_i, dims_i = split_commuting_factors(
-            comp, seed=int(rng.integers(0, 2**31)))
+            [MatrixSubalgebra(sec_space, b) for b in comp],
+            seed=int(rng.integers(0, 2**31)))
         rows.append(iso_i.matrix @ dagger(q))
         sector_dims.append(tuple(dims_i))
     v = _projected_unitary(np.concatenate(rows))

@@ -228,8 +228,9 @@ def _leg_plans(U: UnitaryChannel, alphas) -> tuple:
     pairs k < l, a NaN-keeping off-diagonal mask, room for |g_kk-g_ll|^2."""
     space, D, dims = U.in_space, U.dim, U.in_space.dims
     inner = [math.prod(dims[k + 1:]) for k in range(len(dims))]
-    onehot = np.hstack([(np.arange(D) // s % d)[:, None] == np.arange(d)
-                        for s, d in zip(inner, dims)]).astype(float)
+    onehot = np.hstack([np.zeros((D, 0), bool)] + [
+        (np.arange(D) // s % d)[:, None] == np.arange(d)
+        for s, d in zip(inner, dims)]).astype(float)
     g, mem, plans = np.empty((D, D), complex), np.empty(D * D, complex), {}
     for a in alphas:
         k = space.index(a)

@@ -15,9 +15,6 @@ GENERIC_RESIDUAL_TOL = RESIDUAL_TOL * 10
 ISO_UNITARITY_TOL = 1e-7
 # a connecting partial isometry needs rank m: sv[m-1] above this * sv[0]
 ISOMETRY_RANK_REL = 1e-8
-# a joint central product may sit this far (times sqrt(d_a)) from the
-# projector it is cleaned to
-PROJECTOR_CLEANUP_TOL = 1e-6
 
 # causal: the default relative influence cut and the Choi route's
 # trace-norm tolerance

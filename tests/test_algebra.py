@@ -261,7 +261,7 @@ def test_factorize_factor_roundtrip(d, m, seed):
 def test_split_single_factor_is_identity():
     amb = space(("q", 3))
     full = MatrixSubalgebra.full(amb)
-    iso, dims = split_commuting_factors([full], amb, seed=0)
+    iso, dims = split_commuting_factors([full], seed=0)
     assert dims == [3]
     assert np.allclose(iso.matrix, np.eye(3))
 
@@ -272,7 +272,7 @@ def test_split_two_factors_in_m4():
                                for e in matrix_units(2)])
     b2 = algebra_closure(amb, [np.kron(np.eye(2), e)
                                for e in matrix_units(2)])
-    iso, dims = split_commuting_factors([b1, b2], amb, seed=0)
+    iso, dims = split_commuting_factors([b1, b2], seed=0)
     assert dims == [2, 2]
     cod = iso.codomain
     for g in b1.basis:
@@ -294,7 +294,7 @@ def test_split_hidden_three_factors():
     ]
     bs = [algebra_closure(amb, [w @ g @ dagger(w) for g in gens])
           for gens in layouts]
-    iso, dims = split_commuting_factors(bs, amb, seed=5)
+    iso, dims = split_commuting_factors(bs, seed=5)
     assert dims == [2, 2, 2]
     cod = iso.codomain
     for k, b in enumerate(bs):
@@ -303,7 +303,7 @@ def test_split_hidden_three_factors():
             assert resid < 1e-8
     # Non-commuting inputs are rejected.
     with pytest.raises(NumericsError):
-        split_commuting_factors([bs[0], bs[0]], amb, seed=0)
+        split_commuting_factors([bs[0], bs[0]], seed=0)
 
 
 def test_split_last_leg_absorbs_multiplicity():
@@ -317,7 +317,7 @@ def test_split_last_leg_absorbs_multiplicity():
           for e in matrix_units(2)]
     b1 = algebra_closure(amb, g1)
     b2 = algebra_closure(amb, g2)
-    iso, dims = split_commuting_factors([b1, b2], amb, seed=2)
+    iso, dims = split_commuting_factors([b1, b2], seed=2)
     assert dims == [2, 6]
     cod = iso.codomain
     for g in b2.basis:
@@ -399,6 +399,49 @@ def test_sectorize_diagonal_pair():
     assert ranks == [1, 1]
     total = sum(sec.projectors)
     assert np.allclose(total, np.eye(2), atol=1e-9)
+
+
+def commuting_block_pair(sectors, w):
+    """w (+_s M_{a_s} (x) 1_{b_s}) w^dag and w (+_s 1_{a_s} (x) M_{b_s})
+    w^dag for sectors (a_s, b_s), with orthonormal bases."""
+    D = w.shape[0]
+    bases, start = ([], []), 0
+    for a, b in sectors:
+        left = [np.kron(e, np.eye(b)) / np.sqrt(b) for e in matrix_units(a)]
+        right = [np.kron(np.eye(a), e) / np.sqrt(a) for e in matrix_units(b)]
+        for basis, units in zip(bases, (left, right)):
+            for u in units:
+                g = np.zeros((D, D), dtype=complex)
+                g[start:start + a * b, start:start + a * b] = u
+                basis.append(w @ g @ dagger(w))
+        start += a * b
+    return [MatrixSubalgebra(space(("q", D)), np.stack(b)) for b in bases]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(sectors=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                        min_size=1, max_size=3).filter(
+           lambda ss: sum(a * b for a, b in ss) <= 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_sectorize_splits_commuting_block_algebras(sectors, seed):
+    # the sectors of two commuting block algebras behind a Haar unitary:
+    # orthogonal projectors resolving the identity, each commuting with
+    # both reductions, leg dims (a_s, b_s), spanning exactly when one
+    d_a = sum(a * b for a, b in sectors)
+    bs = commuting_block_pair(sectors, haar_unitary(
+        d_a, np.random.default_rng(seed)))
+    sec = sectorize(["q"], [[], []], bs, seed=seed % 97)
+    ps = np.stack(sec.projectors)
+    tol = 1e-12 * np.sqrt(d_a)
+    assert np.linalg.norm(ps.sum(axis=0) - np.eye(d_a)) <= tol
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            assert np.linalg.norm(ps[i] @ ps[j]) <= tol
+    for red in (reduce_onto_legs(b, ["q"]) for b in bs):
+        comm = ps[:, None] @ red.basis[None] - red.basis[None] @ ps[:, None]
+        assert np.linalg.norm(comm, axis=(2, 3)).max() <= 1e-9
+    assert sorted(sec.sectors) == sorted(sectors)
+    assert sec.spans == (len(sectors) == 1)
 
 
 def _split_iso(out):
@@ -869,8 +912,8 @@ def test_spans_of_d_squared_are_the_matrix_units(monkeypatch):
 
 
 def test_one_sector_compression_stays_orthonormal(monkeypatch):
-    # the compression by a unitary q keeps the bases orthonormal with no
-    # rank solve
+    # the one sector of scalar centres is the identity block, so the
+    # bases pass through orthonormal with no rank solve
     a_space = space(("a", 2), ("b", 3))
     w = haar_unitary(6, np.random.default_rng(6))
     reduced = [algebra_closure(a_space, [w @ a_space.embed(e, legs)
@@ -920,8 +963,8 @@ def test_non_finite_rank_input_raises():
     script = textwrap.dedent("""
         import numpy as np
         from causaldeco.algebra import (MatrixSubalgebra, algebra_closure,
-                                        centre, is_factor, matrix_units,
-                                        orthonormalize)
+                                        centre, factorize_factor, is_factor,
+                                        matrix_units, orthonormalize)
         from causaldeco.errors import NumericsError
         from causaldeco.tensorspace import TensorSpace
         amb = TensorSpace((("a", 2),))
@@ -934,7 +977,9 @@ def test_non_finite_rank_input_raises():
                      lambda: algebra_closure(amb, [m]),
                      lambda: centre(MatrixSubalgebra(amb, m[None])),
                      lambda: is_factor(MatrixSubalgebra(amb, m[None])),
-                     lambda: centre(MatrixSubalgebra(amb, units)))
+                     lambda: centre(MatrixSubalgebra(amb, units)),
+                     # the spectral split checks its generic element
+                     lambda: factorize_factor(MatrixSubalgebra(amb, units)))
             for call in calls:
                 try:
                     call()
@@ -947,7 +992,7 @@ def test_non_finite_rank_input_raises():
                          text=True, timeout=60,
                          env=source_env())
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["refused"] * 10
+    assert out.stdout.split() == ["refused"] * 12
 
 
 def test_non_finite_svd_input_raises():
@@ -961,10 +1006,10 @@ def test_non_finite_svd_input_raises():
         from causaldeco.tensorspace import TensorSpace
         pair = TensorSpace((("x", 2), ("y", 2)))
         amb = TensorSpace((("a", 2),))
-        # finite projectors, so the partial-isometry SVD is reached
-        algebra._spectral_projectors = lambda S, rng, count: [
-            np.diag([1.0, 0.0]).astype(complex),
-            np.diag([0.0, 1.0]).astype(complex)]
+        # finite blocks, so the partial-isometry SVD is reached
+        eye = np.eye(2, dtype=complex)
+        algebra._spectral_blocks = lambda S, rng, count, what: (
+            [eye[:, :1], eye[:, 1:]], np.stack([np.diag(e) for e in eye]))
         for bad in (np.inf, np.nan):
             m4 = np.eye(4, dtype=complex)
             m4[1, 0] = bad
@@ -1097,58 +1142,16 @@ def test_one_leaking_basis_element_refused_by_the_split():
             split_commuting_factors(bs)
 
 
-def test_nan_refused_by_sector_checks(monkeypatch):
-    # a NaN in one minimal central projector is refused before the
-    # joint product reaches eigh, not as a ValueError from rounding its
-    # trace to an integer
+def test_nan_refused_by_sector_checks():
+    # a NaN in one reduction's basis is refused as a NumericsError, not
+    # as a ValueError or a LinAlgError from the spectral split
     a_space = TensorSpace((("a", 4),))
     x_space = TensorSpace((("x", 2), ("y", 2)))
     reduced = [MatrixSubalgebra(a_space, MatrixSubalgebra.on_legs(
         x_space, [leg]).basis) for leg in ("x", "y")]
-    projs = minimal_central_projectors
-    monkeypatch.setattr(
-        algebra_module, "minimal_central_projectors",
-        lambda S, seed=0: [_with_nan(p) for p in projs(S, seed)])
-    with pytest.raises(NumericsError, match="joint central product"):
+    reduced[1].basis[1] = _with_nan(reduced[1].basis[1])
+    with pytest.raises(NumericsError):
         _sectors_of_reductions(a_space, reduced, seed=0)
-
-
-def test_overlapping_central_projectors_do_not_resolve_the_identity(
-        monkeypatch):
-    # central projectors of ranks 1, 2, 1 on d_a = 4, each turned by its
-    # own rotation exp(i eps H_k), resolve the identity only as far as
-    # they are orthogonal: sum_{x != y} ||p_x p_y||_F^2 equals
-    # ||sum p - 1||_F^2.  Every family is refused by the identity gate,
-    # or split with sector projectors orthogonal to RESIDUAL_TOL d_a
-    rng = np.random.default_rng(11)
-    a_space = TensorSpace((("a", 4),))
-    v0 = haar_unitary(4, rng)
-    refused = 0
-    for eps in np.logspace(-12, -1, 23):
-        family = []
-        for cols in ([0], [1, 2], [3]):
-            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            vals, vecs = np.linalg.eigh(z + dagger(z))
-            v = vecs @ np.diag(np.exp(1j * eps * vals)) @ dagger(vecs) @ v0
-            family.append(v[:, cols] @ dagger(v[:, cols]))
-        overlaps = sum(np.linalg.norm(p @ q) ** 2 for p in family
-                       for q in family if p is not q)
-        miss = np.linalg.norm(sum(family) - np.eye(4)) ** 2
-        assert abs(overlaps - miss) <= 1e-14 * np.sqrt(miss) + 1e-28
-        monkeypatch.setattr(algebra_module, "minimal_central_projectors",
-                            lambda S, seed=0: family)
-        try:
-            sec = _sectors_of_reductions(
-                a_space, [MatrixSubalgebra.full(a_space)], seed=0)
-        except NumericsError as exc:
-            assert "do not resolve the identity" in str(exc)
-            refused += 1
-            continue
-        assert sec.sectors == ((1,), (2,), (1,))
-        ps = sec.projectors
-        assert max(np.linalg.norm(ps[i] @ ps[j]) for i in range(3)
-                   for j in range(i + 1, 3)) <= 1e-8 * 4
-    assert 0 < refused < 23
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -226,6 +226,15 @@ def test_causal_structure_reference_cases():
         {("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")})
 
 
+@pytest.mark.parametrize("outs", [(), (("b1", 1),)])
+def test_channel_without_input_legs_has_no_pairs(outs):
+    # no input leg means no one-hot digit columns to stack
+    U = UnitaryChannel(np.eye(1), TensorSpace(()), TensorSpace(outs))
+    rep = causal_structure_report(U)
+    assert rep.relation.inputs == () and rep.relation.pairs == frozenset()
+    assert rep.raw_norms == {} and rep.borderline == []
+
+
 def test_u3_raw_norm_dichotomy():
     # Permutation conjugations give commutator norms that are exactly
     # zero or of order one: nothing near the decision threshold.

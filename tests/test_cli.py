@@ -373,6 +373,21 @@ def test_analyze_swap(tmp_path, capsys):
     assert {tuple(p) for p in data["pairs"]} == {("a1", "b2"), ("a2", "b1")}
 
 
+def test_relation_without_legs_runs_every_command(tmp_path, capsys):
+    # the empty relation passes check and lattice, so analyze, decompose
+    # and roundtrip take it too: no pairs, one trivial node, exit 0
+    rel = write_relation(tmp_path / "empty.json", Relation((), (), frozenset()))
+    uf = write_unitary(tmp_path / "u0.json", UnitaryChannel(
+        np.eye(1), TensorSpace(()), TensorSpace(())))
+    assert main(["analyze", uf, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pairs"] == []
+    assert main(["decompose", uf, rel, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "Success" and data["residual"] == 0.0
+    assert main(["roundtrip", rel, "--trials", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passes"] == 1
+
+
 def test_analyze_cnot_full(tmp_path, capsys):
     # Oracle: Heisenberg conjugation by hand.  Control-Z pulls back to
     # itself but control-X pulls back to X tensor X, so the target leg

@@ -281,9 +281,11 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
     # the only closures are the reductions onto the local legs (no joint
     # closure of the reductions): each reduction either closes its
     # blocks once or finds they span M_{d_t} and returns
-    # MatrixSubalgebra.full with no closure.  Each gate is finished at
-    # its node, so the only images are the lemma's inputs and the circuit
-    # is composed once, by the final verification.  Every lemma input is
+    # MatrixSubalgebra.full with no closure.  A spanning split has scalar
+    # centres, so the algebra J they generate is read from integers; the
+    # certificate's sectors take one closure of J on top.  Each gate is
+    # finished at its node, so the only images are the lemma's inputs and
+    # the circuit is composed once, by the final verification.  Every lemma input is
     # an image in matrix-unit layout, so no factor test falls back to a
     # centre solve, in decompose or in obstruction_witness.
     import sys
@@ -356,10 +358,14 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
         assert calls["factor_centre"] == 0
     assert full_reductions > 0
     C3 = c3_relation()
-    calls["is_factor"] = 0
-    obstruction_witness(build_counterexample(C3, seed=0), C3)
+    U3 = build_counterexample(C3, seed=0)
+    for key in calls:
+        calls[key] = 0
+    obstruction_witness(U3, C3)
     assert calls["is_factor"] > 0
     assert calls["factor_centre"] == 0
+    assert calls["algebra_closure"] == (
+        calls["reduce_onto_legs"] - calls["full_reductions"] + 1)
 
 
 @pytest.mark.parametrize("pair_too", [False, True])

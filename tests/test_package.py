@@ -1,6 +1,7 @@
 """The package front: lazy exports, a CLI that screens relations without
 numpy, and the one policy module of tolerances and caps."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -76,7 +77,6 @@ POLICY = {
     "GENERIC_RESIDUAL_TOL": (1e-7, "algebra"),
     "ISO_UNITARITY_TOL": (1e-7, "algebra"),
     "ISOMETRY_RANK_REL": (1e-8, "algebra"),
-    "PROJECTOR_CLEANUP_TOL": (1e-6, "algebra"),
     "COMMUTANT_DIM_CAP": (32, "algebra"),
     "INFLUENCE_REL_TOL": (1e-9, "causal"), "CHOI_TRACE_TOL": (1e-8, "causal"),
     "CHANNEL_UNITARITY_TOL": (1e-8, "causal"),
@@ -93,3 +93,16 @@ def test_policy_holds_every_tolerance_under_its_old_names():
         assert getattr(policy, name) == value, name
         assert getattr(sys.modules[f"causaldeco.{home}"], name) \
             is getattr(policy, name), name
+
+
+def test_every_policy_value_is_read_outside_policy():
+    # an import alone does not count: a gate deleted later must take its
+    # tolerance with it
+    loads = set()
+    for path in (REPO_ROOT / "src" / "causaldeco").glob("*.py"):
+        if path.stem != "policy":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            loads |= {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load)}
+    assert {n for n in vars(policy) if n.isupper()} - loads == set()

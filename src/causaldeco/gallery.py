@@ -6,6 +6,8 @@ Everything here is exactly representable (permutation matrices, identity
 gates, seeded companions), so tests can pin matrices literally.
 """
 
+from itertools import chain
+
 import numpy as np
 
 from .algebra import algebraic_lemma
@@ -86,7 +88,7 @@ def group_legs(U: UnitaryChannel, in_groups, out_groups) -> UnitaryChannel:
     ``in_groups`` and ``out_groups`` are lists of (new_label, members)
     pairs; members stack into the new leg in the order given, first
     member most significant.  Every existing leg must land in exactly
-    one group.
+    one group.  The regrouping is an exact permutation, checked once.
     """
     def regroup(space, groups, side):
         flat = []
@@ -108,8 +110,9 @@ def group_legs(U: UnitaryChannel, in_groups, out_groups) -> UnitaryChannel:
 
     in_flat, new_in = regroup(U.in_space, in_groups, "input")
     out_flat, new_out = regroup(U.out_space, out_groups, "output")
-    ordered = U.with_leg_order(in_flat, out_flat)
-    return UnitaryChannel(ordered.matrix, new_in, new_out)
+    rows = U.out_space.reorder(U.matrix, out_flat)
+    return UnitaryChannel(U.in_space.reorder(rows.T, in_flat).T,
+                          new_in, new_out)
 
 
 def build_counterexample(G: Relation, seed: int = 0,
@@ -128,46 +131,51 @@ def build_counterexample(G: Relation, seed: int = 0,
     unitaries on the canonical shape at default dims, seeds spawned off
     ``seed``.  Exhausting the retry budget raises InputError, since the
     relation itself may not admit faithful unitaries at those dims.
+
+    The fused structure comes from the factors: unital tensor products
+    commute exactly when both factor pairs do, so a fused input
+    influences a fused output exactly when V's legs or u3's do.  Checked
+    are V's structure at V's dimension, u3's at D=8, their union against
+    G (NumericsError if it differs) and the kron product's unitarity.
     """
     res = check_c3ep(G)
     if res.satisfied:
         raise InputError("relation satisfies the exclusion property, so "
                          "every faithful unitary decomposes and there is "
                          "no counterexample to build")
-    w = res.witness
-    V = None
-    if companion is not None:
-        if set(companion.in_space.labels) != set(G.inputs) \
-                or set(companion.out_space.labels) != set(G.outputs):
-            raise InputError("companion legs do not match the relation")
-        if causal_structure(companion).same_pairs(G):
-            V = companion
-    if V is None:
-        for s in np.random.SeedSequence(seed).generate_state(RETRY_BUDGET):
-            _, cand = random_circuit_unitary(G, seed=int(s))
-            if causal_structure(cand).same_pairs(G):
-                V = cand
-                break
-    if V is None:
+    if companion is not None and (
+            set(companion.in_space.labels) != set(G.inputs)
+            or set(companion.out_space.labels) != set(G.outputs)):
+        raise InputError("companion legs do not match the relation")
+    drawn = (random_circuit_unitary(G, seed=int(s))[1] for s in
+             np.random.SeedSequence(seed).generate_state(RETRY_BUDGET))
+    for V in chain([companion] if companion is not None else [], drawn):
+        v_rel = causal_structure(V)
+        if v_rel.same_pairs(G):
+            break
+    else:
         raise InputError(
             f"no companion with the exact causal structure in "
             f"{RETRY_BUDGET} seeded draws; the relation may not admit "
             "one at the default dimensions")
+    w = res.witness
     role_in = {w.a1: "a1", w.a2: "a2", w.a3: "a3"}
     role_out = {w.b1: "b1", w.b2: "b2", w.b3: "b3"}
-    extra = u3().relabeled({r: "u3:" + r for r in ("a1", "a2", "a3")},
+    base = u3()
+    leg = w.as_dict()
+    pairs = v_rel.pairs | {(leg[x], leg[y])
+                           for x, y in causal_structure(base).pairs}
+    if pairs != G.pairs:
+        raise NumericsError("fused channel drifted off the relation: got "
+                            f"pairs {sorted(pairs)}")
+    extra = base.relabeled({r: "u3:" + r for r in ("a1", "a2", "a3")},
                            {r: "u3:" + r for r in ("b1", "b2", "b3")})
     prod = V.tensor(extra)
     in_groups = [(a, [a, "u3:" + role_in[a]] if a in role_in else [a])
                  for a in sorted(G.inputs)]
     out_groups = [(b, [b, "u3:" + role_out[b]] if b in role_out else [b])
                   for b in sorted(G.outputs)]
-    fused = group_legs(prod, in_groups, out_groups)
-    got = causal_structure(fused)
-    if not got.same_pairs(G):
-        raise NumericsError("fused channel drifted off the relation: got "
-                            f"pairs {sorted(got.pairs)}")
-    return fused
+    return group_legs(prod, in_groups, out_groups)
 
 
 def obstruction_witness(U: UnitaryChannel, G: Relation, seed: int = 0):

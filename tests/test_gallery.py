@@ -126,10 +126,11 @@ def counterexample_c3():
 
 
 def test_build_counterexample_c3(counterexample_c3):
-    U = counterexample_c3
-    assert U.in_space.factors == (("a1", 4), ("a2", 8), ("a3", 4))
-    assert U.out_space.factors == (("b1", 4), ("b2", 8), ("b3", 4))
-    assert causal_structure(U).same_pairs(C3)
+    # the structure is decided from the factors; pin it at the full D
+    for U in (counterexample_c3, build_counterexample(C3, seed=1)):
+        assert U.in_space.factors == (("a1", 4), ("a2", 8), ("a3", 4))
+        assert U.out_space.factors == (("b1", 4), ("b2", 8), ("b3", 4))
+        assert causal_structure(U).same_pairs(C3)
 
 
 def test_build_counterexample_uses_supplied_companion():
@@ -144,7 +145,20 @@ def test_build_counterexample_uses_supplied_companion():
     expected = pout.permutation_to(["b1", "y1", "b2", "y2", "b3", "y3"]) \
         @ np.kron(V.matrix, u3_hand_matrix()) \
         @ pin.permutation_to(["a1", "x1", "a2", "x2", "a3", "x3"]).T
-    assert np.allclose(got.matrix, expected, atol=1e-12)
+    assert np.array_equal(got.matrix, expected)
+
+
+def test_build_counterexample_refuses_a_drifted_union(monkeypatch):
+    # an extra channel influencing beyond C3 lifts pairs outside G
+    import causaldeco.gallery
+
+    def haar_u3():
+        ch = u3()
+        return UnitaryChannel(haar_unitary(8, np.random.default_rng(0)),
+                              ch.in_space, ch.out_space)
+    monkeypatch.setattr(causaldeco.gallery, "u3", haar_u3)
+    with pytest.raises(NumericsError, match="drifted off the relation"):
+        build_counterexample(C3)
 
 
 def test_build_counterexample_degenerate_companion_falls_back():
@@ -292,10 +306,13 @@ def spectator_pair():
 
 
 def test_build_counterexample_spectator_pair(spectator_pair):
+    # the D=256 route must agree with the structure read off the factors
     G4, U4 = spectator_pair
-    assert U4.in_space.factors == (("a1", 4), ("a2", 8), ("a3", 4),
-                                   ("a4", 2))
-    assert U4.dim == 256
+    for U in (U4, build_counterexample(G4, seed=1)):
+        assert U.in_space.factors == (("a1", 4), ("a2", 8), ("a3", 4),
+                                      ("a4", 2))
+        assert U.dim == 256
+        assert causal_structure(U).same_pairs(G4)
 
 
 def test_obstruction_witness_with_spectators(spectator_pair):

@@ -61,10 +61,17 @@ only (a tall matrix goes through its QR factor R first, so no left
 factor is formed), cut at a relative threshold scaled by sqrt(dimension),
 and refuse non-finite input; residuals that the mathematics says must
 vanish are checked against relative tolerances and raise NumericsError.
-Some rank solves are settled without an SVD: a closure round whose
-Frobenius norm is at most its floor times sqrt(n) adds nothing (s_max <=
-||m||_F), and a span of d^2 elements is all of M_d, kept as its matrix
-units.
+A rank decision costs what its answer costs.  Some are settled from
+integers: a closure round whose Frobenius norm is at most its floor
+times sqrt(n) adds nothing (s_max <= ||m||_F), a span of d^2 elements
+is all of M_d, kept as its matrix units, and so is the reduction of a
+d_t^2-element algebra onto legs that are its whole ambient.  A stack
+whose sides both reach 4 _SKETCH_ROWS is first sketched by a seeded
+Gaussian of _SKETCH_ROWS rows, accepted only when what it misses is
+under the relative rank cut, so a low rank is read from a k-column SVD
+with the exact one's rank and span; otherwise, and on smaller stacks,
+the exact SVD decides.  The commuting-part solve keeps the exact SVD,
+since it reads the null space.
 """
 
 from __future__ import annotations
@@ -84,6 +91,8 @@ from .tensorspace import (TensorSpace, _relative_norm, dagger,
                           require_finite, unitarity_residual)
 
 _GENERIC_SEED = 0
+# rows of the sketch a rank solve with both sides >= 4 * this tries first
+_SKETCH_ROWS = 16
 
 
 def matrix_units(d: int) -> np.ndarray:
@@ -105,11 +114,44 @@ def _row_space(m) -> tuple[np.ndarray, np.ndarray]:
     return s, vh
 
 
+def _sketched_row_space(m, floor) -> np.ndarray | None:
+    """Orthonormal rows spanning m's row space above the rank cut, from
+    one Gaussian sketch of _SKETCH_ROWS rows (Halko, Martinsson & Tropp,
+    SIAM Review 53 (2011), Alg. 4.2), or None when the sketch misses.
+
+    Q holds the orthonormal rows of Omega m, Omega drawn from
+    _GENERIC_SEED, and B = m Q^dag.  The sketch is accepted when ||m -
+    B Q||_F is at most the relative part of the cut, SVD_RANK_REL s_max
+    sqrt(n), read from B's singular values.  Every singular value of m
+    past the k-th is then at most that residual, hence dropped, and by
+    Weyl each of the others is within it of B's, so rank and span are
+    the exact SVD's up to values next to the cut.  The floor only raises
+    the cut on B's values: a tail above the relative cut, which a floor
+    would drop but which tilts the kept span, goes to the exact SVD.
+    """
+    omega = np.random.default_rng(_GENERIC_SEED).standard_normal(
+        (_SKETCH_ROWS, m.shape[0]))
+    q = np.linalg.qr((omega @ m).T)[0].T
+    b = m @ q.conj().T
+    s, vh = _row_space(b)
+    rel = SVD_RANK_REL * s[0] * np.sqrt(max(m.shape))
+    miss = b @ q
+    miss -= m  # in place: the check holds one m-sized temporary
+    if not np.linalg.norm(miss) <= rel:
+        return None
+    cut = max(rel, floor * np.sqrt(max(m.shape)))
+    return vh[:int(np.sum(~(s <= cut)))] @ q
+
+
 def orthonormalize(mats, floor=0.0) -> np.ndarray:
     """Orthonormal basis (stacked, shape (r, D, D)) for the span.
 
     Keeps singular directions with s > max(SVD_RANK_REL * s_max, floor)
     * sqrt(n), n the larger dimension of the stacked coefficient matrix.
+    A stack whose sides both reach 4 _SKETCH_ROWS tries a seeded sketch
+    first (_sketched_row_space), which settles a rank up to _SKETCH_ROWS
+    from products with that many rows; when it misses, the exact SVD
+    decides.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim == 2:
@@ -121,10 +163,15 @@ def orthonormalize(mats, floor=0.0) -> np.ndarray:
     # s_max <= ||m||_F: a zero stack, or one under the floor, has rank 0
     if np.linalg.norm(m) <= floor * np.sqrt(max(m.shape)):
         return np.zeros((0, d, d), dtype=complex)
-    s, vh = _row_space(m)
-    cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
-    r = int(np.sum(~(s <= cut)))
-    return vh[:r].reshape(r, d, d)
+    rows = None
+    if min(m.shape) >= 4 * _SKETCH_ROWS:
+        require_finite(m, "a rank decision")
+        rows = _sketched_row_space(m, floor)
+    if rows is None:
+        s, vh = _row_space(m)
+        cut = max(SVD_RANK_REL * s[0], floor) * np.sqrt(max(m.shape))
+        rows = vh[:int(np.sum(~(s <= cut)))]
+    return rows.reshape(len(rows), d, d)
 
 
 @dataclass
@@ -589,13 +636,18 @@ def reduce_onto_legs(B: MatrixSubalgebra, target_labels) -> MatrixSubalgebra:
       never passes a wrong split.
     The blocks of a *-algebra's elements generate it as an algebra, and
     in finite dimensions that is its double commutant (von Neumann), so
-    no commutant solve is needed.
+    no commutant solve is needed.  With no rest legs (d_rest = 1) and
+    B.dim = d_t^2, B is all of M_{d_t}, read from integers: no block
+    stack and no rank solve, after a finite check of B's generic pair.
     """
     ambient = B.ambient
     target_labels = list(target_labels)
     target_space = ambient.subspace(target_labels)
     d_t = target_space.total_dim
     d_rest = ambient.total_dim // d_t
+    if d_rest == 1 and B.dim == d_t * d_t:
+        require_finite(B.test_elements(), "a reduction")
+        return MatrixSubalgebra.full(target_space)
     n = max(2, -(-d_t * d_t // (d_rest * d_rest)))
     mats = B.basis if n >= B.dim else B.generic_elements(n)
     k = len(ambient.labels)

@@ -94,10 +94,22 @@ class UnitaryChannel:
             else list(self.in_space.labels)
         out_labels = list(out_labels) if out_labels is not None \
             else list(self.out_space.labels)
-        rows = self.out_space.reorder(self.matrix, out_labels)
-        return UnitaryChannel(self.in_space.reorder(rows.T, in_labels).T,
+        return self._permuted(in_labels, out_labels,
                               self.in_space.subspace(in_labels),
                               self.out_space.subspace(out_labels))
+
+    def _permuted(self, in_order, out_order, in_space, out_space):
+        """The channel with columns in ``in_order`` and rows in
+        ``out_order`` (reorderings of all legs, which reorder checks), on
+        spaces of the same total dimension.  An exact permutation keeps
+        the checked matrix's entries and unitarity residual, so the
+        result skips __post_init__'s checks; the public constructor keeps
+        them all."""
+        rows = self.out_space.reorder(self.matrix, out_order)
+        chan = object.__new__(UnitaryChannel)
+        chan.matrix = self.in_space.reorder(rows.T, in_order).T
+        chan.in_space, chan.out_space = in_space, out_space
+        return chan
 
 
 def _space_to_json(space: TensorSpace) -> list:

@@ -88,7 +88,8 @@ def group_legs(U: UnitaryChannel, in_groups, out_groups) -> UnitaryChannel:
     ``in_groups`` and ``out_groups`` are lists of (new_label, members)
     pairs; members stack into the new leg in the order given, first
     member most significant.  Every existing leg must land in exactly
-    one group.  The regrouping is an exact permutation, checked once.
+    one group.  The regrouping is an exact permutation of a checked
+    channel, so it is not checked again.
     """
     def regroup(space, groups, side):
         flat = []
@@ -110,9 +111,7 @@ def group_legs(U: UnitaryChannel, in_groups, out_groups) -> UnitaryChannel:
 
     in_flat, new_in = regroup(U.in_space, in_groups, "input")
     out_flat, new_out = regroup(U.out_space, out_groups, "output")
-    rows = U.out_space.reorder(U.matrix, out_flat)
-    return UnitaryChannel(U.in_space.reorder(rows.T, in_flat).T,
-                          new_in, new_out)
+    return U._permuted(in_flat, out_flat, new_in, new_out)
 
 
 def build_counterexample(G: Relation, seed: int = 0,

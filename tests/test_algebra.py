@@ -819,7 +819,9 @@ def test_reduction_is_double_commutant_of_schmidt_factors(case):
     # the orthonormalised blocks of the seed elements (the first span
     # reduce_onto_legs forms, closed or already all of M_{d_t}) lie in
     # the span of the (reordered) Schmidt factors; the seed is a few
-    # generic elements, so that span may be larger
+    # generic elements, so that span may be larger.  With every leg as
+    # target and B all of M_D the reduction is read from integers and
+    # forms no span, so the returned algebra stands in for it
     spans = []
 
     def capture(mats, floor=0.0):
@@ -829,8 +831,8 @@ def test_reduction_is_double_commutant_of_schmidt_factors(case):
         reduced = reduce_onto_legs(B, target)
     factors = MatrixSubalgebra(target_space,
                                orthonormalize([p @ y @ p.T for y in ys]))
-    assert spans
-    assert MatrixSubalgebra(target_space, spans[0]).spans_subspace_of(factors)
+    first = spans[0] if spans else reduced.basis
+    assert MatrixSubalgebra(target_space, first).spans_subspace_of(factors)
     assert reduced.same_span(oracle)
     assert reduced.same_span(closure_of_all_blocks(B, target))
 
@@ -874,6 +876,52 @@ def test_orthonormalize_rank_is_the_cut_on_svd_values(k, d, rank, scale,
     assume(not np.any(np.abs(s - cut) <= 1e-9 * max(cut, s[0])))
     got = orthonormalize(m.reshape(k, d, d), floor=floor)
     assert got.shape == (want, d, d)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(rows=st.sampled_from([64, 100, 300]), d=st.sampled_from([8, 9]),
+       rank=st.sampled_from([1, 8, 15, 16, 17, 24]), scale=st.floats(-12, 3),
+       ratio=st.floats(0.01, 0.6), floored=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sketched_rank_and_span_are_the_svd_cut(rows, d, rank, scale, ratio,
+                                                floored, seed):
+    # both sides reach 4 * 16, so a seeded sketch of 16 rows goes first:
+    # it decides ranks up to 16, and a larger rank falls back to the SVD.
+    # Either way the rank is the cut rule on numpy's singular values and
+    # the span that of the leading right singular vectors
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((rows, rank)) \
+        + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, d * d)) \
+        + 1j * rng.standard_normal((rank, d * d))
+    m = 10.0 ** scale * (left @ right)
+    n = max(m.shape)
+    floor = ratio * np.linalg.norm(m) / np.sqrt(n) if floored else 0.0
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    cut = max(algebra_module.SVD_RANK_REL * s[0], floor) * np.sqrt(n)
+    want = int(np.sum(s > cut))
+    assume(not np.any(np.abs(s - cut) <= 1e-9 * max(cut, s[0])))
+    row_space = algebra_module._row_space
+    shapes = []
+
+    def recording(mat):
+        shapes.append(mat.shape)
+        return row_space(mat)
+    with mock.patch.object(algebra_module, "_row_space", recording):
+        got = orthonormalize(m.reshape(rows, d, d), floor=floor)
+    # a stack under the floor is settled by its norm, with no rank solve
+    settled = np.linalg.norm(m) <= floor * np.sqrt(n)
+    assert (m.shape in shapes) == (
+        rank > algebra_module._SKETCH_ROWS and not settled)
+    assert got.shape == (want, d, d)
+    v = got.reshape(want, d * d)
+    assert np.abs(dagger(v) @ v - dagger(vh[:want]) @ vh[:want]).max() \
+        <= 1e-10
+    assert np.array_equal(orthonormalize(m.reshape(rows, d, d), floor=floor),
+                          got)
+    m[rows // 2, 3] = np.nan
+    with pytest.raises(NumericsError):
+        orthonormalize(m.reshape(rows, d, d), floor=floor)
 
 
 def test_orthonormalize_under_the_floor_takes_no_svd(monkeypatch):
@@ -964,7 +1012,8 @@ def test_non_finite_rank_input_raises():
         import numpy as np
         from causaldeco.algebra import (MatrixSubalgebra, algebra_closure,
                                         centre, factorize_factor, is_factor,
-                                        matrix_units, orthonormalize)
+                                        matrix_units, orthonormalize,
+                                        reduce_onto_legs)
         from causaldeco.errors import NumericsError
         from causaldeco.tensorspace import TensorSpace
         amb = TensorSpace((("a", 2),))
@@ -979,7 +1028,10 @@ def test_non_finite_rank_input_raises():
                      lambda: is_factor(MatrixSubalgebra(amb, m[None])),
                      lambda: centre(MatrixSubalgebra(amb, units)),
                      # the spectral split checks its generic element
-                     lambda: factorize_factor(MatrixSubalgebra(amb, units)))
+                     lambda: factorize_factor(MatrixSubalgebra(amb, units)),
+                     # and so does the reduction of M_2 onto all its legs
+                     lambda: reduce_onto_legs(MatrixSubalgebra(amb, units),
+                                              ["a"]))
             for call in calls:
                 try:
                     call()
@@ -992,7 +1044,7 @@ def test_non_finite_rank_input_raises():
                          text=True, timeout=60,
                          env=source_env())
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["refused"] * 12
+    assert out.stdout.split() == ["refused"] * 14
 
 
 def test_non_finite_svd_input_raises():

@@ -660,6 +660,38 @@ def test_with_leg_order():
     assert np.allclose(same.matrix, u.matrix)
 
 
+def test_leg_permutations_are_not_checked_again(monkeypatch):
+    # with_leg_order and group_legs permute a checked channel exactly, so
+    # they run no unitarity check; the public constructor, fed the same
+    # permuted matrix, checks it and gives the same channel bit for bit
+    import causaldeco.causal as causal_module
+    ins = TensorSpace((("a1", 2), ("a2", 3), ("a3", 2)))
+    outs = TensorSpace((("b1", 3), ("b2", 2), ("b3", 2)))
+    u = UnitaryChannel(haar_unitary(12, np.random.default_rng(7)), ins, outs)
+    checked = []
+    residual = causal_module.unitarity_residual
+    monkeypatch.setattr(causal_module, "unitarity_residual",
+                        lambda m: checked.append(m.shape) or residual(m))
+    moved = u.with_leg_order(["a3", "a1", "a2"], ["b2", "b3", "b1"])
+    grouped = group_legs(u, [("L", ["a2", "a1"]), ("R", ["a3"])],
+                         [("M", ["b3", "b1"]), ("N", ["b2"])])
+    assert checked == []
+    assert moved.in_space == ins.subspace(["a3", "a1", "a2"])
+    assert moved.out_space == outs.subspace(["b2", "b3", "b1"])
+    assert grouped.in_space.factors == (("L", 6), ("R", 2))
+    assert grouped.out_space.factors == (("M", 6), ("N", 2))
+    for got, in_order, out_order in (
+            (moved, ["a3", "a1", "a2"], ["b2", "b3", "b1"]),
+            (grouped, ["a2", "a1", "a3"], ["b3", "b1", "b2"])):
+        rows = outs.reorder(u.matrix, out_order)
+        public = UnitaryChannel(ins.reorder(rows.T, in_order).T,
+                                got.in_space, got.out_space)
+        assert got.matrix.dtype == public.matrix.dtype
+        assert got.matrix.shape == public.matrix.shape
+        assert got.matrix.tobytes() == public.matrix.tobytes()
+    assert checked == [(12, 12)] * 2
+
+
 def test_unitary_json_roundtrip(tmp_path):
     u = u3_channel()
     text = unitary_to_json(u)

@@ -483,22 +483,30 @@ def _reference_input(relation, base):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("relation, base", [("chain2", 4), ("fan_in", 3)])
-def test_reference_runs_succeed(relation, base):
-    # the two slowest reference runs (D=64 and D=27), as
-    # `causaldeco roundtrip <relation>.json --dims <base> --trials 1` runs them
+@pytest.mark.parametrize("relation, base, leg_dims", [
+    ("chain2", 3, [(3, 3), (9,)]),
+    ("chain2", 4, [(4, 4), (16,)]),
+    ("fan_in", 3, [(27,)]),
+    ("fan_out", 3, [(3, 3, 3)]),
+])
+def test_reference_runs_succeed(relation, base, leg_dims):
+    # the reference runs at base 3 and chain2 at base 4 (D=27 and D=64),
+    # as `causaldeco roundtrip <relation>.json --dims <base> --trials 1`
+    # runs them; the per-node leg dims pin every rank decision, sketched
+    # or exact
     G, U = _reference_input(relation, base)
     circuit, report = decompose(U, G, seed=0)
     assert report.status == "Success"
     assert report.recomposition_residual <= RECOMPOSE_TOL * np.sqrt(U.dim)
     assert circuit.gates_unitary()
+    assert [d.leg_dims for d in report.per_node_diagnostics] == leg_dims
 
 
 @pytest.mark.slow
-def test_fan_in_top_node_takes_one_full_rank_solve(monkeypatch):
-    # at base 3 the top node's reductions are all of M_27: one rank solve
-    # on the 729 matrix-entry columns (the blocks), after which the
-    # closure seed and the sector compression read the span from integers
+def test_fan_in_top_node_takes_no_full_rank_solve(monkeypatch):
+    # at base 3 the top node's image is all of M_27 on the local legs
+    # alone (no rest legs), so its reduction is read from integers: no
+    # rank solve on the 729 matrix-entry columns
     import causaldeco.algebra as algebra
     row_space = algebra._row_space
     columns = []
@@ -510,4 +518,4 @@ def test_fan_in_top_node_takes_one_full_rank_solve(monkeypatch):
     G, U = _reference_input("fan_in", 3)
     _, report = decompose(U, G, seed=0)
     assert report.status == "Success"
-    assert columns.count(729) == 1
+    assert columns.count(729) == 0

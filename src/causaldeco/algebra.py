@@ -22,23 +22,22 @@ reduction onto local legs is the closure of the blocks, over the rest
 legs, of a few generic elements (of the basis when it is no larger),
 with no Schmidt SVD and no double commutant.  heisenberg_image's
 RowImage holds W^dag(M_d x 1)W as the rows W of a unitary and forms its
-matrix-unit basis only when read.  The factor test reads an algebra of
-n^2 elements as a copy of M_n in that layout, through combine, and
-falls back to the centre otherwise.  One spectral split, the eigenvector
+matrix-unit basis only when read.  One spectral split, the eigenvector
 blocks of a generic element clustered by eigenvalue, is the only
 eigendecomposition: it gives minimal central projectors, the sectors,
 and the Wedderburn form of a factor, whose blocks are its rows.
 
-The gate-splitting step has one path and one outcome.  algebraic_lemma
-and sectorize share the layout, commutation and support checks and the
-reductions onto the shared legs; the lemma adds the factor test.  The
-sectors are the blocks of the commutative algebra J that the
-reductions' centres generate; when every centre is the scalars, J is
-too, read from integers.  Both return the sector split with its
-spanning verdict: one sector whose reduction dimensions multiply to
-d_a^2, read from integers, so no joint closure is formed.  The
-decomposer needs a spanning split to build a gate; the obstruction
-certificate needs at least two sectors.
+The gate-splitting step has one path and one outcome, algebraic_lemma,
+also named sectorize.  It checks the layout, the commutation of the
+algebras and their support, once each; that they are factors is the
+caller's hypothesis, which a Heisenberg image of a checked unitary
+meets by construction.  The sectors are the blocks of the commutative
+algebra J that the reductions' centres generate; when every centre is
+the scalars, J is too, read from integers.  The lemma returns the
+sector split with its spanning verdict: one sector whose reduction
+dimensions multiply to d_a^2, read from integers, so no joint closure
+is formed.  The decomposer needs a spanning split to build a gate; the
+obstruction certificate needs at least two sectors.
 
 Determinism: every routine that draws random elements takes a seed and
 uses its own generator, so repeated runs give identical results.  The
@@ -51,10 +50,7 @@ the algebra's commutant), and commutation and support are bilinear or
 linear conditions, so a pair that passes them makes them hold on the
 whole span.  A degenerate draw can only make a centre or commutant too
 large, which refuses a factor or fails a later verification; it never
-produces a wrong success.  The factor test's matrix-unit identity is
-bilinear too, so the pair decides it; a degenerate pair that meets it by
-coincidence still cannot pass a wrong circuit, since the recomposition
-gate checks every success.
+produces a wrong success.
 
 Numerical policy: rank decisions read singular values and right vectors
 only (a tall matrix goes through its QR factor R first, so no left
@@ -369,23 +365,7 @@ def centre(S: MatrixSubalgebra) -> MatrixSubalgebra:
 
 
 def is_factor(S: MatrixSubalgebra) -> bool:
-    """Whether S has a trivial centre.
-
-    A basis of n^2 elements in matrix-unit layout, b_ij b_kl = s
-    delta_jk b_il with s = sqrt(n / D) (a RowImage's), spans a copy of
-    M_n, a factor.  The identity is bilinear, so it is tested on the
-    generic pair x, y: xy = s sum_il (C_x C_y)_il b_il for their n x n
-    coefficient matrices, to RESIDUAL_TOL, through S.combine (a RowImage
-    forms no basis).  Any other basis is decided by its centre."""
-    n = math.isqrt(S.dim)
-    if S.dim and n * n == S.dim:
-        x, y = S.test_elements()
-        cx, cy = (S.coefficients(t).reshape(n, n) for t in (x, y))
-        xy = x @ y
-        units = math.sqrt(n / S.ambient.total_dim) * S.combine(
-            (cx @ cy).ravel())
-        if np.linalg.norm(xy - units) <= RESIDUAL_TOL * np.linalg.norm(xy):
-            return True
+    """Whether S has a trivial centre."""
     return centre(S).dim == 1
 
 
@@ -687,14 +667,30 @@ class SectorDecomposition:
         return len(self.sectors)
 
 
-def _shared_leg_reductions(a_labels, x_legs, bs):
-    """The hypothesis checks sectorize and algebraic_lemma share, then
-    the reductions of the B_k onto the shared legs.
+def algebraic_lemma(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
+    """Split a shared leg along commuting factor algebras.
 
     The B_k must live on one ambient whose labels include the shared
-    legs and the X legs, each X leg belonging to one algebra only; they
-    must commute pairwise, and each must be supported on the shared legs
-    plus its own X legs.  Returns the shared space and the reductions.
+    legs and the X legs, each X leg belonging to one algebra only.
+    Hypotheses checked: the B_k commute pairwise, and each is supported
+    on the shared legs plus its own X legs.  That each B_k is a factor
+    is the caller's hypothesis, not checked here: heisenberg_image meets
+    it, since U^dag(M_d x 1)U is a copy of M_d for the unitary that
+    UnitaryChannel has checked.
+
+    The reductions of the B_k onto the shared legs commute, with no
+    second check: their blocks are the coefficients of linearly
+    independent |i><j| x |k><l| on disjoint X legs, so the B_k commuting
+    makes the blocks commute.  Their centres generate a commutative
+    algebra J whose minimal projectors, the nonzero products of minimal
+    central ones, are the sectors.  A generic element of J shows J.dim
+    clusters; their eigenvector blocks q, orthonormal and resolving the
+    identity by construction, are the sector isometries.  With scalar
+    centres J is the scalars, read from integers: one sector, q = 1.
+    The reductions compressed by q are factors, split jointly.  When the
+    split spans, its iso carries the shared leg onto one sector whose
+    k-th leg (the last absorbing remaining multiplicity) holds the k-th
+    reduction; otherwise its sectors are the obstruction.
     """
     if not bs:
         raise InputError("need at least one algebra")
@@ -726,38 +722,9 @@ def _shared_leg_reductions(a_labels, x_legs, bs):
             raise NumericsError(
                 f"algebra {k} is not supported on its shared+X legs "
                 f"(residual {worst:.2e})")
-    return (ambient.subspace(a_labels),
-            [reduce_onto_legs(b, a_labels) for b in bs])
-
-
-def sectorize(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
-    """Joint sector decomposition of commuting algebras over a shared leg.
-
-    Each B_k must commute with the others and be supported on the shared
-    legs plus its private X legs.  The reductions of the B_k onto the
-    shared legs commute; the minimal projectors of the algebra their
-    centres generate cut the shared leg into sectors, and inside every
-    sector the compressed reductions are factors that split
-    simultaneously.
-    """
-    return _sectors_of_reductions(
-        *_shared_leg_reductions(a_labels, x_legs, bs), seed)
-
-
-def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
-    """The sector split of the reductions onto the shared legs of
-    algebras that passed _shared_leg_reductions' checks.
-
-    The reductions commute, so their centres generate a commutative
-    algebra J whose minimal projectors, the nonzero products of minimal
-    central ones, are the sectors.  A generic element of J shows J.dim
-    clusters; their eigenvector blocks q, orthonormal and resolving the
-    identity by construction, are the sector isometries.  With scalar
-    centres J is the scalars, read from integers: one sector, q = 1.
-    The reductions compressed by q are factors, split jointly.
-    """
+    a_space = ambient.subspace(a_labels)
+    reduced = [reduce_onto_legs(b, a_labels) for b in bs]
     d_a = a_space.total_dim
-    _check_pairwise_commuting([r.test_elements() for r in reduced])
     gens = [z.basis for z in map(centre, reduced) if z.dim > 1]
     J = (algebra_closure(a_space, np.concatenate(gens)) if gens
          else MatrixSubalgebra.scalars(a_space))
@@ -783,18 +750,6 @@ def _sectors_of_reductions(a_space, reduced, seed) -> SectorDecomposition:
                                tuple(projectors), iso, spans)
 
 
-def algebraic_lemma(a_labels, x_legs, bs, seed=0) -> SectorDecomposition:
-    """Split a shared leg along commuting factor algebras.
-
-    Hypotheses checked: the B_k commute pairwise, each is a factor, and
-    each is supported on the shared legs plus its own X legs.  Returns
-    the sector split of their reductions onto the shared legs.  When it
-    spans, its iso carries the shared leg onto one sector whose k-th
-    leg (the last absorbing remaining multiplicity) holds the k-th
-    reduction; otherwise its sectors are the obstruction.
-    """
-    a_space, reduced = _shared_leg_reductions(a_labels, x_legs, bs)
-    for k, b in enumerate(bs):
-        if not is_factor(b):
-            raise NumericsError(f"algebra {k} is not a factor")
-    return _sectors_of_reductions(a_space, reduced, seed)
+# the joint sector decomposition of commuting algebras over a shared leg
+# is the lemma itself, under its own name (and its own trace span)
+sectorize = algebraic_lemma

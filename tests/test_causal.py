@@ -118,7 +118,7 @@ def test_u3_heisenberg_images_hand_oracle():
 
 @pytest.mark.parametrize("betas", [["b1"], ["b2"], ["b1", "b2"]])
 def test_heisenberg_image_matrix_unit_layout(betas):
-    # is_factor reads the basis as matrix units: element i d_beta + j is
+    # the basis is in matrix-unit layout: element i d_beta + j is
     # sqrt(d_beta / D) U^dag (E_ij (x) 1) U, E_ij on the beta legs in
     # output order
     u = UnitaryChannel(haar_unitary(6, np.random.default_rng(7)),
@@ -179,8 +179,8 @@ def test_row_image_matches_its_explicit_basis(case):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * tol
     assert img.residual(mats[-1]) <= 1e-12
-    assert is_factor(img) and is_factor(ref)
     assert "basis" not in vars(img)
+    assert is_factor(img) and is_factor(ref)
     assert np.array_equal(img.basis, basis)
 
 

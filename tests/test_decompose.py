@@ -12,9 +12,10 @@ from causaldeco.decompose import INCLUSION_TOL, RECOMPOSE_TOL, \
 from causaldeco.errors import InputError, NumericsError
 from causaldeco.gallery import build_counterexample, obstruction_witness, u3
 from causaldeco.lattice import build_concept_lattice
+from causaldeco.policy import CHANNEL_UNITARITY_TOL
 from causaldeco.relations import Relation, c3_relation, fan_in_relation, \
     fan_out_relation, full_relation
-from causaldeco.tensorspace import TensorSpace
+from causaldeco.tensorspace import TensorSpace, unitarity_residual
 
 from test_causal import relation_circuits
 from test_cli import SPLIT_MESSAGE, force_sector_split
@@ -277,7 +278,8 @@ def test_roundtrip_on_random_shapes_and_dims(case):
 
 
 def test_each_lemma_hypothesis_tested_once(monkeypatch):
-    # the gate split is one path: one factor test per lemma input, and
+    # the gate split is one path: no factor test (the lemma's inputs are
+    # images of a unitary that UnitaryChannel has checked), and
     # the only closures are the reductions onto the local legs (no joint
     # closure of the reductions): each reduction either closes its
     # blocks once or finds they span M_{d_t} and returns
@@ -285,15 +287,14 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
     # centres, so the algebra J they generate is read from integers; the
     # certificate's sectors take one closure of J on top.  Each gate is
     # finished at its node, so the only images are the lemma's inputs and
-    # the circuit is composed once, by the final verification.  Every lemma input is
-    # an image in matrix-unit layout, so no factor test falls back to a
-    # centre solve, in decompose or in obstruction_witness.
+    # the circuit is composed once, by the final verification.  Neither
+    # decompose nor obstruction_witness runs a factor test.
     import sys
     import causaldeco.algebra as algebra
     module = sys.modules["causaldeco.decompose"]
     calls = {"inputs": 0, "is_factor": 0, "algebra_closure": 0,
              "reduce_onto_legs": 0, "full_reductions": 0,
-             "heisenberg_image": 0, "compose_matrix": 0, "factor_centre": 0}
+             "heisenberg_image": 0, "compose_matrix": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -316,14 +317,8 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
     monkeypatch.setattr(algebra, "reduce_onto_legs", counting_reduce)
     for key in ("heisenberg_image", "compose_matrix"):
         monkeypatch.setattr(module, key, counting(key, getattr(module, key)))
-    factor_test, centre = algebra.is_factor, algebra.centre
-
-    def counting_factor(S):
-        calls["is_factor"] += 1
-        with monkeypatch.context() as m:
-            m.setattr(algebra, "centre", counting("factor_centre", centre))
-            return factor_test(S)
-    monkeypatch.setattr(algebra, "is_factor", counting_factor)
+    monkeypatch.setattr(algebra, "is_factor", counting(
+        "is_factor", algebra.is_factor))
     lemma = module.algebraic_lemma
 
     def counting_inputs(a_labels, x_legs, bs, seed=0):
@@ -349,23 +344,73 @@ def test_each_lemma_hypothesis_tested_once(monkeypatch):
         _, report = decompose(ch, rel, seed=seed)
         assert report.status == "Success"
         assert calls["inputs"] > 0
-        assert calls["is_factor"] == calls["inputs"]
+        assert calls["is_factor"] == 0
         assert (calls["algebra_closure"] + calls["full_reductions"]
                 == calls["reduce_onto_legs"] > 0)
         full_reductions += calls["full_reductions"]
         assert calls["heisenberg_image"] == calls["inputs"]
         assert calls["compose_matrix"] == 1
-        assert calls["factor_centre"] == 0
     assert full_reductions > 0
     C3 = c3_relation()
     U3 = build_counterexample(C3, seed=0)
     for key in calls:
         calls[key] = 0
     obstruction_witness(U3, C3)
-    assert calls["is_factor"] > 0
-    assert calls["factor_centre"] == 0
+    assert calls["is_factor"] == 0
     assert calls["algebra_closure"] == (
         calls["reduce_onto_legs"] - calls["full_reductions"] + 1)
+
+
+def _near_the_unitarity_gate(U, seed):
+    """U(1 + delta H) for a random Hermitian H, delta set so that the
+    unitarity residual, 2 delta ||H||_F / sqrt(D) to first order, sits
+    just under CHANNEL_UNITARITY_TOL: the worst channel whose images the
+    lemma takes to be factors without testing them."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((U.dim,) * 2) + 1j * rng.standard_normal(
+        (U.dim,) * 2)
+    h = (g + g.conj().T) / 2
+    delta = 0.95 * CHANNEL_UNITARITY_TOL * np.sqrt(U.dim) / (
+        2 * np.linalg.norm(h))
+    m = U.matrix @ (np.eye(U.dim) + delta * h)
+    assert 0.9 * CHANNEL_UNITARITY_TOL <= unitarity_residual(m) \
+        <= CHANNEL_UNITARITY_TOL
+    return UnitaryChannel(m, U.in_space, U.out_space)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lemma_at_the_edge_of_the_unitarity_gate(monkeypatch, seed):
+    # the unitarity check owns the factor hypothesis, so a channel just
+    # inside it succeeds as the exact one does, or is refused, or raises;
+    # never a success with other leg dims.  The perturbation reads as an
+    # influence outside G, so a second run takes the exact channel's
+    # causal structure to reach the gate-splitting lemma.
+    import sys
+    module = sys.modules["causaldeco.decompose"]
+    G = fans_relation()
+    _, U = random_circuit_unitary(G, seed=seed)
+    _, exact = decompose(U, G, seed=seed)
+    near = _near_the_unitarity_gate(U, seed)
+    for structure in (None, causal_structure(U)):
+        if structure is not None:
+            monkeypatch.setattr(module, "causal_structure",
+                                lambda u: structure)
+        try:
+            _, report = decompose(near, G, seed=seed)
+        except NumericsError:
+            continue
+        assert report.status in ("Failed", "Success") or (
+            structure is None and report.status == "RefusedCausal")
+        if report.status == "Success":
+            assert [d.leg_dims for d in report.per_node_diagnostics] == \
+                [d.leg_dims for d in exact.per_node_diagnostics]
+    C3 = c3_relation()
+    try:
+        deco = obstruction_witness(_near_the_unitarity_gate(
+            build_counterexample(C3, seed=seed), seed), C3, seed=seed)
+    except NumericsError:
+        return
+    assert deco.sectors == ((2, 2), (2, 2))
 
 
 @pytest.mark.parametrize("pair_too", [False, True])
@@ -482,7 +527,6 @@ def _reference_input(relation, base):
     return G, U
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("relation, base, leg_dims", [
     ("chain2", 3, [(3, 3), (9,)]),
     ("chain2", 4, [(4, 4), (16,)]),
@@ -502,7 +546,6 @@ def test_reference_runs_succeed(relation, base, leg_dims):
     assert [d.leg_dims for d in report.per_node_diagnostics] == leg_dims
 
 
-@pytest.mark.slow
 def test_fan_in_top_node_takes_no_full_rank_solve(monkeypatch):
     # at base 3 the top node's image is all of M_27 on the local legs
     # alone (no rest legs), so its reduction is read from integers: no

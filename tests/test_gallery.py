@@ -271,9 +271,9 @@ def test_obstruction_witness_forms_no_image_basis(counterexample_c3,
 
 def test_obstruction_witness_draws_each_algebra_once(counterexample_c3,
                                                      monkeypatch):
-    # the commutation, support and factor checks and the reductions read
-    # one cached sequence of generic elements per algebra, bit for bit
-    # the sequence a fresh draw gives
+    # the commutation and support checks and the reductions read one
+    # cached sequence of generic elements per algebra, bit for bit the
+    # sequence a fresh draw gives, and each algebra's pair is read once
     import causaldeco.algebra
     algebra = causaldeco.algebra
     fresh = algebra._generic_elements
@@ -291,7 +291,7 @@ def test_obstruction_witness_draws_each_algebra_once(counterexample_c3,
     monkeypatch.setattr(algebra.MatrixSubalgebra, "test_elements", reading)
     deco = obstruction_witness(counterexample_c3, C3)
     assert deco.sectors == ((2, 2), (2, 2))
-    assert drawn and len(pairs) > len(drawn)
+    assert drawn and len(pairs) == len(drawn)
     assert all(sum(s is S for s in drawn) == 1 for S in drawn)
     for S, pair in pairs:
         assert np.array_equal(pair, fresh(S, 2))

@@ -98,18 +98,23 @@ class UnitaryChannel:
                               self.in_space.subspace(in_labels),
                               self.out_space.subspace(out_labels))
 
+    @classmethod
+    def _trusted(cls, matrix, in_space, out_space):
+        """An unchecked channel on a complex matrix unitary by construction:
+        a checked channel's, exactly permuted or times polar parts."""
+        chan = object.__new__(cls)
+        chan.matrix = matrix
+        chan.in_space, chan.out_space = in_space, out_space
+        return chan
+
     def _permuted(self, in_order, out_order, in_space, out_space):
         """The channel with columns in ``in_order`` and rows in
         ``out_order`` (reorderings of all legs, which reorder checks), on
-        spaces of the same total dimension.  An exact permutation keeps
-        the checked matrix's entries and unitarity residual, so the
-        result skips __post_init__'s checks; the public constructor keeps
-        them all."""
+        spaces of the same total dimension: an exact permutation, not
+        checked again."""
         rows = self.out_space.reorder(self.matrix, out_order)
-        chan = object.__new__(UnitaryChannel)
-        chan.matrix = self.in_space.reorder(rows.T, in_order).T
-        chan.in_space, chan.out_space = in_space, out_space
-        return chan
+        return UnitaryChannel._trusted(
+            self.in_space.reorder(rows.T, in_order).T, in_space, out_space)
 
 
 def _space_to_json(space: TensorSpace) -> list:

@@ -195,8 +195,10 @@ def decompose(U: UnitaryChannel, G: Relation, seed: int = 0,
             diags.append(NodeDiagnostics(v, 1, (1,) * len(covers)
                                          + (1,) * len(outs_here), 0.0))
             continue
-        # U seen from the node's frame: its images are V U^dag(E x 1)U V^dag
-        seen = UnitaryChannel(U.matrix @ dagger(vmat), frame, U.out_space)
+        # U seen from the node's frame: its images are V U^dag(E x 1)U V^dag;
+        # a checked U times polar parts, so it is not checked again
+        seen = UnitaryChannel._trusted(U.matrix @ dagger(vmat), frame,
+                                       U.out_space)
         live = [w for w in covers if shape.nodes[w].beta]
         bs = []
         x_legs = []

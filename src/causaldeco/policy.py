@@ -11,8 +11,6 @@ RESIDUAL_TOL = 1e-8
 # residuals of what a generic element yields (its spectral projectors,
 # its support) carry the eigensolver's roundoff on top
 GENERIC_RESIDUAL_TOL = RESIDUAL_TOL * 10
-# UnitaryIso accepts ||V^dag V - 1||_F / sqrt(dim) up to this
-ISO_UNITARITY_TOL = 1e-7
 # a connecting partial isometry needs rank m: sv[m-1] above this * sv[0]
 ISOMETRY_RANK_REL = 1e-8
 
@@ -20,7 +18,7 @@ ISOMETRY_RANK_REL = 1e-8
 # trace-norm tolerance
 INFLUENCE_REL_TOL = 1e-9
 CHOI_TRACE_TOL = 1e-8
-# UnitaryChannel accepts ||U^dag U - 1||_F / sqrt(dim) up to this
+# unitarity is checked on entry (UnitaryChannel) and on every gate, at the end
 CHANNEL_UNITARITY_TOL = 1e-8
 GATE_UNITARITY_TOL = 1e-9
 # recomposition residual counts as zero below tol * sqrt(dim)

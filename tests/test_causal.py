@@ -665,6 +665,8 @@ def test_leg_permutations_are_not_checked_again(monkeypatch):
     # they run no unitarity check; the public constructor, fed the same
     # permuted matrix, checks it and gives the same channel bit for bit
     import causaldeco.causal as causal_module
+    import causaldeco.circuits as circuits_module
+    from causaldeco.decompose import decompose
     ins = TensorSpace((("a1", 2), ("a2", 3), ("a3", 2)))
     outs = TensorSpace((("b1", 3), ("b2", 2), ("b3", 2)))
     u = UnitaryChannel(haar_unitary(12, np.random.default_rng(7)), ins, outs)
@@ -690,6 +692,21 @@ def test_leg_permutations_are_not_checked_again(monkeypatch):
         assert got.matrix.shape == public.matrix.shape
         assert got.matrix.tobytes() == public.matrix.tobytes()
     assert checked == [(12, 12)] * 2
+    # nor is the channel U V^dag that each node of decompose sees: on a
+    # prebuilt U, unitarity is checked once per gate, at the end, and
+    # never on a channel
+    G = overlapping_fans_relation()
+    _, fans = random_circuit_unitary(G, seed=0)
+    checked.clear()
+    gate_checks = []
+    gate_residual = circuits_module.unitarity_residual
+    monkeypatch.setattr(circuits_module, "unitarity_residual",
+                        lambda m: gate_checks.append(m.shape)
+                        or gate_residual(m))
+    circuit, report = decompose(fans, G, seed=0)
+    assert report.status == "Success"
+    assert checked == []
+    assert gate_checks == [g.shape for g in circuit.gates.values()]
 
 
 def test_unitary_json_roundtrip(tmp_path):

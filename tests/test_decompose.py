@@ -165,6 +165,24 @@ def test_round_trip(name, rel, wires):
                for d in report.per_node_diagnostics) < 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gates_and_witness_iso_are_unitary_to_roundoff(seed):
+    # no iso is checked for unitarity where it is made: each is a polar
+    # part, a product of polar parts or the identity, so each gate, and
+    # the witness's sector iso, sits at roundoff, far inside every gate
+    for _, rel, _ in ROUND_TRIPS:
+        G = rel()
+        _, ch = random_circuit_unitary(G, seed=seed)
+        circuit, report = decompose(ch, G, seed=seed)
+        assert report.status == "Success"
+        for gate in circuit.gates.values():
+            assert unitarity_residual(gate) <= 1e-12
+    G = c3_relation()
+    deco = obstruction_witness(build_counterexample(G, seed=seed), G,
+                               seed=seed)
+    assert unitarity_residual(deco.iso.matrix) <= 1e-12
+
+
 def test_round_trip_other_seed_and_dims():
     G = chain2_relation()
     _, ch = random_circuit_unitary(

@@ -3,6 +3,7 @@
 user tolerance, ends as InputError."""
 
 import ast
+import inspect
 import json
 import math
 from pathlib import Path
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from causaldeco.causal import (causal_structure_report, influences,
-                               load_unitary, unitary_from_json)
+from causaldeco.causal import (UnitaryChannel, causal_structure_report,
+                               influences, load_unitary, unitary_from_json)
 from causaldeco.circuits import (circuit_from_json, load_circuit,
                                  random_circuit_unitary)
 from causaldeco.decompose import decompose, verify_decomposition
@@ -40,6 +41,14 @@ def test_json_is_parsed_only_in_errors():
     offenders = [p.name for p in sorted(SRC.glob("*.py"))
                  if p.name != "errors.py" and "json.loads" in p.read_text()]
     assert offenders == []
+
+
+def test_unchecked_objects_are_built_only_in_trusted():
+    # the one way round a constructor's checks is UnitaryChannel._trusted
+    sites = {p.name: p.read_text().count("object.__new__(")
+             for p in sorted(SRC.glob("*.py"))}
+    assert {k: n for k, n in sites.items() if n} == {"causal.py": 1}
+    assert "object.__new__(" in inspect.getsource(UnitaryChannel._trusted)
 
 
 def test_screening_modules_import_no_numpy():

@@ -75,7 +75,6 @@ POLICY = {
     "SVD_RANK_REL": (1e-9, "algebra"), "COMM_REL_TOL": (1e-9, "algebra"),
     "CLUSTER_REL": (1e-7, "algebra"), "RESIDUAL_TOL": (1e-8, "algebra"),
     "GENERIC_RESIDUAL_TOL": (1e-7, "algebra"),
-    "ISO_UNITARITY_TOL": (1e-7, "algebra"),
     "ISOMETRY_RANK_REL": (1e-8, "algebra"),
     "COMMUTANT_DIM_CAP": (32, "algebra"),
     "INFLUENCE_REL_TOL": (1e-9, "causal"), "CHOI_TRACE_TOL": (1e-8, "causal"),

@@ -63,7 +63,10 @@ A rank decision costs what its answer costs.  Some are settled from
 integers: a closure round whose Frobenius norm is at most its floor
 times sqrt(n) adds nothing (s_max <= ||m||_F), a span of d^2 elements
 is all of M_d, kept as its matrix units, and so is the reduction of a
-d_t^2-element algebra onto legs that are its whole ambient.  A stack
+d_t^2-element algebra onto legs that are its whole ambient.  A closure
+whose seed a generic pair shows irreducible is all of M_d, read from
+one d x d eigh before any round (Murota, Kanno, Kojima & Kojima, Japan
+J. Indust. Appl. Math. 27, 125-160 (2010)).  A stack
 whose sides both reach 4 _SKETCH_ROWS is first sketched by a seeded
 Gaussian of _SKETCH_ROWS rows, accepted only when what it misses is
 under the relative rank cut, so a low rank is read from a k-column SVD
@@ -276,6 +279,23 @@ class RowImage(MatrixSubalgebra):
         return dagger(self.rows.reshape(D, D)) @ wc
 
 
+def _irreducible(seed: MatrixSubalgebra) -> bool:
+    """Whether the seed's generic pair shows that it generates all of
+    M_d (see algebra_closure)."""
+    d = seed.ambient.total_dim
+    h1, h2 = seed.test_elements()
+    vals, vecs = np.linalg.eigh(h1)
+    if len(_cluster_sorted(vals)) < d:
+        return False
+    cut = CLUSTER_REL * np.linalg.norm(h2)
+    edges = np.abs(dagger(vecs) @ h2 @ vecs) > cut
+    reached, count = np.arange(d) == 0, 0
+    while reached.sum() > count:
+        count = reached.sum()
+        reached = reached | edges[reached].any(axis=0)
+    return bool(count == d)
+
+
 def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
     """Smallest unital *-subalgebra containing the matrices ``mats``.
 
@@ -284,6 +304,19 @@ def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
     Once the span is stable under left multiplication by the seed it
     contains all words in the matrices, hence the algebra.  A span of
     d^2 elements is all of M_d, returned as its matrix units.
+
+    Before the rounds, the seed's generic pair h1, h2 may show that it
+    is all of M_d (_irreducible): h1 has d clusters under
+    _cluster_sorted, and the entries of h2 in h1's eigenbasis above
+    CLUSTER_REL ||h2||_F, as edges between eigenvectors, connect them.
+    The rank-1 spectral projectors P_i are polynomials in h1, P_i h2 P_j
+    on an edge is a multiple of a matrix unit, and products along the
+    connected graph give all of them, so by Burnside's theorem the
+    algebra is M_d: the generic-element and graph step of Murota et al.
+    The test only ever says yes; otherwise the rounds decide.  A false
+    yes needs roundoff entries above a cut far above roundoff, and could
+    only enlarge the algebra, which the leak checks, the inclusion gate
+    (1e-6) and the recomposition gate (1e-8 sqrt(D)) refuse.
     """
     d = ambient.total_dim
     gens = [np.asarray(g, dtype=complex) for g in mats]
@@ -292,6 +325,8 @@ def algebra_closure(ambient: TensorSpace, mats) -> MatrixSubalgebra:
             raise InputError(f"generator shape {g.shape}, ambient {d}")
     mult = orthonormalize(np.stack([np.eye(d)] + gens
                                    + [dagger(g) for g in gens]))
+    if _irreducible(MatrixSubalgebra(ambient, mult)):
+        return MatrixSubalgebra.full(ambient)
     basis = mult
     while basis.shape[0] < d * d:
         prods = (mult[:, None] @ basis[None]).reshape(-1, d, d)

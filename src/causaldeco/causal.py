@@ -262,7 +262,8 @@ def _leg_plans(U: UnitaryChannel, alphas) -> tuple:
     return g, onehot, np.repeat(onehot, 2, axis=0), plans
 
 
-def _output_leg_norms(U: UnitaryChannel, b: str, kernel) -> dict:
+def _output_leg_norms(U: UnitaryChannel, b: str, kernel,
+                      _cuts=None) -> dict:
     """Max raw Frobenius norm of [U^dag(E (x) 1)U, F (x) 1] over matrix
     units E of output leg b and F of input leg a, for each a in ``kernel``
     (_leg_plans, which every output leg shares).
@@ -278,15 +279,22 @@ def _output_leg_norms(U: UnitaryChannel, b: str, kernel) -> dict:
     masses.  All terms are sums of squares, so a commuting pair reads at
     roundoff, where a Gram form |g_kk|^2 + |g_ll|^2 - 2 Re<g_kk, g_ll>
     would cancel O(1) terms.  No leg's arithmetic depends on the other
-    legs planned, and a NaN stays a NaN."""
+    legs planned, and a NaN stays a NaN.
+
+    With ``_cuts`` (each a's cut for this b) the pass stops once it has
+    decided: a norm is a running maximum, so leg a is dropped, with its
+    norm so far, once that reads ``not norm <= cut`` (a NaN too), and
+    the pass returns when every leg is dropped.  A leg never dropped
+    gets the full scan and the same norm as without cuts."""
     g, onehot, onehot2, plans = kernel
     w = _rows_by_beta(U, [b])
     best = dict.fromkeys(plans, 0.0)
+    live = dict(plans)
     for i in range(w.shape[0]):
         wi_dag = dagger(w[i])
         for j in range(i, w.shape[0]):
             np.matmul(wi_dag, w[j], out=g)
-            for _, diag, rows, diffs, ku, lu, _, d1 in plans.values():
+            for _, diag, rows, diffs, ku, lu, _, d1 in live.values():
                 if ku.size:
                     np.copyto(rows.reshape(diag.shape), diag)
                     # mode="clip" writes straight into out; "raise" buffers
@@ -296,10 +304,15 @@ def _output_leg_norms(U: UnitaryChannel, b: str, kernel) -> dict:
                         "pi,pi->p", diffs.view(float), diffs.view(float))
             np.square(g.view(float), out=g.view(float))
             mass = onehot.T @ (g.view(float) @ onehot2)
-            for a, (cols, *_, mask, d1) in plans.items():
+            for a, (cols, *_, mask, d1) in live.items():
                 off = mass[cols, cols] * mask
                 n2 = off.sum(axis=0)[:, None] + off.sum(axis=1)[None, :] + d1
                 best[a] = np.maximum(best[a], n2.max())
+            if _cuts is not None:
+                live = {a: p for a, p in live.items()
+                        if np.sqrt(best[a]) <= _cuts[a]}
+                if not live:
+                    return {a: float(np.sqrt(s)) for a, s in best.items()}
     return {a: float(np.sqrt(s)) for a, s in best.items()}
 
 
@@ -310,15 +323,19 @@ def pair_commutator_norm(U: UnitaryChannel, a: str, b: str) -> float:
     return _output_leg_norms(U, b, _leg_plans(U, [a]))[a]
 
 
-def _pair_decision(U: UnitaryChannel, a: str, b: str, raw, rel_tol):
-    """(threshold, influences, borderline) for a pair's raw norm.
-
-    The threshold is rel_tol times |E (x) 1| on each side, sqrt(D/da) *
-    sqrt(D/db); a norm within a factor of ten of it is borderline.
-    """
+def _pair_cut(U: UnitaryChannel, a: str, b: str, rel_tol) -> float:
+    """rel_tol times |E (x) 1| on each side, sqrt(D/da) * sqrt(D/db)."""
     D = U.dim
-    cut = rel_tol * float(np.sqrt(D / U.in_space.dim(a))
-                          * np.sqrt(D / U.out_space.dim(b)))
+    return rel_tol * float(np.sqrt(D / U.in_space.dim(a))
+                           * np.sqrt(D / U.out_space.dim(b)))
+
+
+def _pair_decision(U: UnitaryChannel, a: str, b: str, raw, rel_tol):
+    """(threshold, influences, borderline) for a pair's raw norm: it
+    influences unless raw <= the threshold (_pair_cut), so a NaN
+    influences, and a norm within a factor of ten of it is borderline.
+    """
+    cut = _pair_cut(U, a, b, rel_tol)
     return cut, not (raw <= cut), cut / 10 < raw < cut * 10
 
 
@@ -342,8 +359,21 @@ def influences(U: UnitaryChannel, a: str, b: str,
 
 def causal_structure(U: UnitaryChannel,
                      rel_tol=INFLUENCE_REL_TOL) -> Relation:
-    """The relation of influencing (input, output) pairs."""
-    return causal_structure_report(U, rel_tol).relation
+    """The relation of influencing (input, output) pairs.
+
+    Decided as ``causal_structure_report`` decides it, but each output
+    leg's pass gets the pairs' cuts and stops once it has decided, so
+    only pairs that do not influence take the full scan.  The report
+    keeps full maxima, for its raw norms and borderline flags."""
+    check_tol(rel_tol)
+    kernel = _leg_plans(U, U.in_space.labels)
+    pairs = set()
+    for b in U.out_space.labels:
+        cuts = {a: _pair_cut(U, a, b, rel_tol) for a in U.in_space.labels}
+        raws = _output_leg_norms(U, b, kernel, cuts)
+        pairs.update((a, b) for a, raw in raws.items()
+                     if not raw <= cuts[a])
+    return Relation(U.in_space.labels, U.out_space.labels, frozenset(pairs))
 
 
 @dataclass

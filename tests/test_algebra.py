@@ -94,6 +94,93 @@ def test_algebra_closure_needs_words():
     assert not bigger.contains(np.kron(SZ, np.eye(2)))
 
 
+def _block_elements(blocks, rng, count):
+    """``count`` random elements of the block-diagonal algebra
+    (+)_i M_{k_i} (x) 1_{m_i}, for blocks [(k_i, m_i), ...]."""
+    d = sum(k * m for k, m in blocks)
+    out, at = np.zeros((count, d, d), dtype=complex), 0
+    for k, m in blocks:
+        z = rng.standard_normal((2, count, k, k))
+        out[:, at:at + k * m, at:at + k * m] = np.kron(z[0] + 1j * z[1],
+                                                       np.eye(m))
+        at += k * m
+    return out
+
+
+def _closure_seed(amb, mats):
+    # the seed span algebra_closure orthonormalises before its rounds
+    return MatrixSubalgebra(amb, orthonormalize(np.concatenate(
+        [np.eye(amb.total_dim)[None], mats, dagger(mats)])))
+
+
+def _rounds_only(monkeypatch, amb, mats):
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra_module, "_irreducible", lambda seed: False)
+        return algebra_closure(amb, mats)
+
+
+def test_irreducible_seed_returns_the_rounds_answer_with_no_round(
+        monkeypatch):
+    # two random matrices generate M_6: their seed's generic pair shows
+    # it, so the seed's is the only rank solve, and the answer is the
+    # matrix-unit basis the rounds reach
+    rng = np.random.default_rng(3)
+    amb = space(("q", 6))
+    mats = rng.standard_normal((2, 6, 6)) + 1j * rng.standard_normal((2, 6, 6))
+    assert algebra_module._irreducible(_closure_seed(amb, mats))
+    row_space, solves = algebra_module._row_space, []
+
+    def recording(m):
+        solves.append(m.shape)
+        return row_space(m)
+    monkeypatch.setattr(algebra_module, "_row_space", recording)
+    alg = algebra_closure(amb, mats)
+    assert solves == [(5, 36)]
+    rounds = _rounds_only(monkeypatch, amb, mats)
+    assert len(solves) > 1
+    assert np.array_equal(alg.basis, rounds.basis)
+    assert np.array_equal(alg.basis, matrix_units(6))
+
+
+@pytest.mark.parametrize("blocks, clusters", [
+    # M2 (+) M3: simple spectrum, its graph cut along the blocks
+    (((2, 1), (3, 1)), 5),
+    # M3 (x) 1_3: each eigenvalue three times
+    (((3, 3),), 3),
+])
+def test_reducible_seed_takes_the_rounds(blocks, clusters, monkeypatch):
+    rng = np.random.default_rng(5)
+    d = sum(k * m for k, m in blocks)
+    amb = space(("q", d))
+    w = haar_unitary(d, rng)
+    mats = w @ _block_elements(blocks, rng, 2) @ dagger(w)
+    seed = _closure_seed(amb, mats)
+    h1, _ = seed.test_elements()
+    vals = np.linalg.eigvalsh(h1)
+    assert len(algebra_module._cluster_sorted(vals)) == clusters
+    assert not algebra_module._irreducible(seed)
+    alg = algebra_closure(amb, mats)
+    assert alg.dim == sum(k * k for k, _ in blocks)
+    assert np.array_equal(alg.basis, _rounds_only(monkeypatch, amb,
+                                                   mats).basis)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                       min_size=1, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_closure_dimension_of_block_algebras(blocks, seed):
+    # two generic elements of (+)_i M_{k_i} (x) 1_{m_i}, in a random
+    # basis, generate it: dimension sum k_i^2, whether the closure stops
+    # at irreducibility (one block, m = 1) or runs its rounds
+    rng = np.random.default_rng(seed)
+    d = sum(k * m for k, m in blocks)
+    w = haar_unitary(d, rng)
+    mats = w @ _block_elements(blocks, rng, 2) @ dagger(w)
+    alg = algebra_closure(space(("q", d)), mats)
+    assert alg.dim == sum(k * k for k, _ in blocks)
+
+
 def test_commutant_known_cases():
     # Commutant of M2 (x) 1 inside M4 is 1 (x) M2, hand computation.
     amb = space(("a", 2), ("b", 2))

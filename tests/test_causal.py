@@ -15,8 +15,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from causaldeco.algebra import MatrixSubalgebra, is_factor
+from causaldeco import relations as relations_module
 from causaldeco.causal import (
     UnitaryChannel,
+    _leg_plans,
+    _output_leg_norms,
+    _pair_cut,
     _rows_by_beta,
     atomicity_check,
     causal_structure,
@@ -37,9 +41,10 @@ from causaldeco.errors import (
     InputError,
     NumericsError,
 )
-from causaldeco.circuits import random_circuit_unitary
-from causaldeco.gallery import group_legs
+from causaldeco.circuits import random_circuit_unitary, uniform_dims
+from causaldeco.gallery import build_counterexample, group_legs, u3
 from causaldeco.lattice import build_concept_lattice
+from causaldeco.policy import INFLUENCE_REL_TOL
 from causaldeco.relations import (Relation, c3_relation, chain2_relation,
                                   check_c3ep, fan_in_relation,
                                   fan_out_relation,
@@ -509,6 +514,62 @@ def test_nan_after_construction_reads_as_influence():
     assert rep.relation.pairs == frozenset(rep.raw_norms)
     assert np.isnan(pair_commutator_norm(u, "a2", "b1"))
     assert influences(u, "a2", "b1", warn=False)
+    # a pass that stops at the cut drops a NaN leg as influencing
+    assert causal_structure(u).pairs == rep.relation.pairs
+
+
+REFERENCE_NAMES = ("overlapping_fans", "chain2", "swap", "fan_in", "fan_out")
+
+
+def reference_channel(name, base, seed):
+    """The random-circuit unitary of a named reference shape with every
+    leg and wire of dimension ``base``."""
+    G = getattr(relations_module, f"{name}_relation")()
+    shape = build_concept_lattice(G)
+    in_dims, out_dims, wire_dims = uniform_dims(shape, base)
+    return random_circuit_unitary(shape, seed=seed, wire_dims=wire_dims,
+                                  leg_dims={**in_dims, **out_dims})[1]
+
+
+# the fans at base 3 (D=729) are over DIM_CAP
+@pytest.mark.parametrize("name, base, seed", [
+    (name, base, seed) for name in REFERENCE_NAMES for base in (2, 3)
+    for seed in (0, 1) if (name, base) != ("overlapping_fans", 3)])
+def test_stopped_passes_decide_as_the_report(name, base, seed):
+    U = reference_channel(name, base, seed)
+    assert (causal_structure(U).pairs
+            == causal_structure_report(U).relation.pairs)
+
+
+@pytest.mark.parametrize("make", [u3, lambda: build_counterexample(
+    c3_relation(), seed=0)], ids=["u3", "c3_counterexample"])
+def test_stopped_passes_decide_as_the_report_on_the_gallery(make):
+    U = make()
+    assert (causal_structure(U).pairs
+            == causal_structure_report(U).relation.pairs)
+
+
+@pytest.mark.parametrize("name, base", [("swap", 2), ("swap", 3),
+                                        ("overlapping_fans", 2)])
+def test_pairs_outside_the_relation_get_the_full_scan(name, base):
+    # a pass with cuts drops a leg only past its cut: a pair that does
+    # not influence reads the full pass's norm bit for bit, and one that
+    # does reads past its cut, at most the full maximum
+    U = reference_channel(name, base, 0)
+    rep = causal_structure_report(U)
+    kernel = _leg_plans(U, U.in_space.labels)
+    outside = 0
+    for b in U.out_space.labels:
+        cuts = {a: _pair_cut(U, a, b, INFLUENCE_REL_TOL)
+                for a in U.in_space.labels}
+        for a, raw in _output_leg_norms(U, b, kernel, cuts).items():
+            assert cuts[a] == rep.thresholds[(a, b)]
+            if (a, b) in rep.relation.pairs:
+                assert cuts[a] < raw <= rep.raw_norms[(a, b)]
+            else:
+                assert raw == rep.raw_norms[(a, b)]
+                outside += 1
+    assert outside == {"swap": 2, "overlapping_fans": 10}[name]
 
 
 def test_nan_after_construction_reads_as_composite_influence():

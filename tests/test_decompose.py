@@ -17,7 +17,7 @@ from causaldeco.relations import Relation, c3_relation, fan_in_relation, \
     fan_out_relation, full_relation
 from causaldeco.tensorspace import TensorSpace, unitarity_residual
 
-from test_causal import relation_circuits
+from test_causal import reference_channel, relation_circuits
 from test_cli import SPLIT_MESSAGE, force_sector_split
 from test_circuits import classical_copy_c3_circuit, u3_matrix
 
@@ -226,9 +226,9 @@ def test_causal_structure_computed_once(monkeypatch):
     leg_plans = causaldeco.causal._leg_plans
     calls, plans = [], []
 
-    def counting(U, b, kernel):
+    def counting(U, b, kernel, *rest):
         calls.append((b, tuple(kernel[-1])))
-        return leg_norms(U, b, kernel)
+        return leg_norms(U, b, kernel, *rest)
 
     def planning(U, alphas):
         plans.append(tuple(alphas))
@@ -538,11 +538,7 @@ def test_sector_split_is_a_numerical_failure(monkeypatch):
 def _reference_input(relation, base):
     from causaldeco import relations
     G = getattr(relations, f"{relation}_relation")()
-    shape = build_concept_lattice(G)
-    in_dims, out_dims, wire_dims = uniform_dims(shape, base)
-    _, U = random_circuit_unitary(shape, seed=0, wire_dims=wire_dims,
-                                  leg_dims={**in_dims, **out_dims})
-    return G, U
+    return G, reference_channel(relation, base, 0)
 
 
 @pytest.mark.parametrize("relation, base, leg_dims", [
@@ -580,3 +576,21 @@ def test_fan_in_top_node_takes_no_full_rank_solve(monkeypatch):
     _, report = decompose(U, G, seed=0)
     assert report.status == "Success"
     assert columns.count(729) == 0
+
+
+def test_chain2_closure_at_base_4_stops_at_irreducibility(monkeypatch):
+    # the top node's reduction onto its 16-dim legs is irreducible from
+    # its 33-element seed's generic pair, so no closure round solves for
+    # the rank of a product stack on the 256 matrix-entry columns
+    import causaldeco.algebra as algebra
+    row_space = algebra._row_space
+    shapes = []
+
+    def recording(m):
+        shapes.append(m.shape)
+        return row_space(m)
+    monkeypatch.setattr(algebra, "_row_space", recording)
+    G, U = _reference_input("chain2", 4)
+    _, report = decompose(U, G, seed=0)
+    assert report.status == "Success"
+    assert max(rows for rows, cols in shapes if cols == 256) == 33
